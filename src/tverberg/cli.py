@@ -3,7 +3,9 @@
 This is the only I/O boundary of the package.  Every command reads JSON files
 in the formats of sequence_from_json / partition_from_json, prints either an
 aligned-text report or (with --json) a machine-readable document, and exits
-with 0 on success or PASS, 1 on a FAIL verdict, and 2 on any input problem.
+with 0 on success or PASS, 1 on a FAIL verdict, 2 on any input problem, and
+3 when an internal cross-check fails (the two exact routes disagree: a bug,
+not bad input).
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from .exact import scalar, scalar_str
 from .fillings import (
     InvalidFillingError,
     dominance_report,
-    enumerate_valid_fillings,
     filling_to_json,
     find_dominant_filling,
     monomial_value,
@@ -51,7 +52,7 @@ from .sequences import (
     uniform_exponents,
 )
 
-PASS, FAIL, INPUT_ERROR = 0, 1, 2
+PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class InputError(ValueError):
@@ -71,7 +72,6 @@ class RunConfig:
     q: Optional[Fraction] = None
     base: Fraction = Fraction(2)
     schedule: str = "chain"
-    seed: int = 0
     oracle: bool = False
     as_json: bool = False
 
@@ -84,8 +84,6 @@ class RunConfig:
             raise InputError("--q must exceed 1")
         if self.base <= 1:
             raise InputError("--base must exceed 1")
-        if self.seed < 0:
-            raise InputError("--seed must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +119,11 @@ def _load_partition(path: str) -> Partition:
 def _emit(config: RunConfig, lines: Sequence[str], payload: dict) -> None:
     text = json.dumps(payload, indent=2) if config.as_json else "\n".join(lines)
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {config.out_path}: {exc}") from exc
     else:
         print(text)
 
@@ -341,11 +342,7 @@ def cmd_dominant(config: RunConfig) -> int:
         }
         if config.oracle:
             report = dominance_report(points, partition, ell, q)
-            best = max(
-                (monomial_value(f, points, coords) for f in enumerate_valid_fillings(partition, ell)),
-                key=lambda m: abs(m.value),
-            )
-            ell_ok = report.ok and best.filling == filling
+            ell_ok = report.ok and report.dominant == filling
             agree = agree and ell_ok
             record["oracle"] = "agree" if ell_ok else "disagree"
             lines.append(f"oracle: {'AGREE' if ell_ok else 'DISAGREE'}")
@@ -462,12 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--base", type=Fraction, default=Fraction(2), help="power base for gen")
         cmd.add_argument("--oracle", action="store_true", help="dominant only: brute-force cross-check")
-        cmd.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="seed for randomized controls; current commands are deterministic",
-        )
         cmd.add_argument("--out", metavar="FILE", help="write the report to FILE instead of stdout")
         cmd.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
@@ -490,7 +481,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             q=scalar(ns.q) if ns.q is not None else None,
             base=scalar(ns.base),
             schedule=ns.schedule,
-            seed=ns.seed,
             oracle=ns.oracle,
             as_json=ns.json,
         )
@@ -500,7 +490,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return INPUT_ERROR
     except CertificateMismatchError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        return INTERNAL_ERROR
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

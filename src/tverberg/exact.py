@@ -132,29 +132,51 @@ def _scaled_int_rows(rows: Iterable[Sequence[Fraction]]):
     return grid, scale
 
 
+def _eliminate(grid: list, width: int) -> tuple:
+    """Fraction-free (Bareiss) forward pass over an integer grid, in place.
+
+    Pivots only within the first `width` columns, skipping a column with no
+    nonzero entry at or below the current row, and updates every column.
+    Returns (pivot columns, row-swap sign).  When columns 0..n-1 all pivot,
+    sign * grid[n-1][n-1] is the determinant of the leading n x n block.
+    """
+    n_rows, n_cols = len(grid), len(grid[0])
+    pivots = []
+    sign = 1
+    prev = _bigint(1)
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, n_rows) if grid[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+            sign = -sign
+        row_r = grid[r]
+        pivot = row_r[c]
+        for i in range(r + 1, n_rows):
+            row_i = grid[i]
+            head = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots, sign
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if not m.is_square:
         raise DimensionError("determinant needs a square matrix")
     grid, scale = _scaled_int_rows(m)
     n = m.rows
-    sign = 1
-    prev = _bigint(1)
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if grid[i][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-            sign = -sign
-        pivot = grid[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = grid[i], grid[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+    pivots, sign = _eliminate(grid, n)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * int(grid[n - 1][n - 1]), scale)
 
 
@@ -166,26 +188,7 @@ def det_sign(m: Matrix) -> int:
 def rank(m: Matrix) -> int:
     """Rank over the rationals, by fraction-free elimination with column skips."""
     grid, _ = _scaled_int_rows(m)
-    n_rows, n_cols = m.rows, m.cols
-    r = 0
-    prev = _bigint(1)
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if grid[i][c]), None)
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        pivot = grid[r][c]
-        for i in range(r + 1, n_rows):
-            row_i, row_r = grid[i], grid[r]
-            head = row_i[c]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return len(_eliminate(grid, m.cols)[0])
 
 
 def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
@@ -198,21 +201,8 @@ def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     augmented = [tuple(row) + (rhs[i],) for i, row in enumerate(m)]
     grid, _ = _scaled_int_rows(augmented)
     n = m.rows
-    prev = _bigint(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if grid[i][k]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular; no unique solution")
-        if pivot_row != k:
-            grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-        pivot = grid[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = grid[i], grid[k]
-            head = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+    if len(_eliminate(grid, n)[0]) < n:
+        raise SingularMatrixError("matrix is singular; no unique solution")
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         acc = Fraction(int(grid[i][n]))

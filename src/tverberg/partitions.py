@@ -52,6 +52,12 @@ def blocks(d: int, r: int) -> tuple:
     )
 
 
+def _position(i) -> int:
+    if type(i) is not int:
+        raise ValueError(f"class members must be integers, got {i!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty classes covering positions 1..n exactly."""
@@ -60,7 +66,7 @@ class Partition:
     classes: tuple
 
     def __init__(self, n: int, classes: Sequence[Sequence[int]]):
-        normalized = tuple(tuple(sorted(int(i) for i in cls)) for cls in classes)
+        normalized = tuple(tuple(sorted(_position(i) for i in cls)) for cls in classes)
         if any(not cls for cls in normalized):
             raise ValueError("classes must be nonempty")
         seen: list = sorted(i for cls in normalized for i in cls)
@@ -348,32 +354,16 @@ def affine_intersection_dim(points: PointSequence, subsets: Sequence[Sequence[in
     return solution_dim - slack
 
 
-def _disjoint_families(n: int, k: int):
-    """Unlabeled families of k disjoint nonempty subsets of 1..n."""
-    seen = set()
-    assignment = [0] * (n + 1)  # 0 = unused, 1..k = subset label
+def _disjoint_families(n: int, k: int) -> list:
+    """Unlabeled families of k disjoint nonempty subsets of 1..n.
 
-    def emit():
-        family = [[] for _ in range(k)]
-        for i in range(1, n + 1):
-            if assignment[i]:
-                family[assignment[i] - 1].append(i)
-        if all(family):
-            key = frozenset(frozenset(g) for g in family)
-            if key not in seen and len(key) == k:
-                seen.add(key)
-                yield tuple(tuple(g) for g in family)
-
-    def walk(i):
-        if i > n:
-            yield from emit()
-            return
-        for label in range(k + 1):
-            assignment[i] = label
-            yield from walk(i + 1)
-        assignment[i] = 0
-
-    yield from walk(1)
+    Each is a partition of 1..n+1 into k+1 classes with the class holding
+    n+1, which collects the unused elements, dropped.
+    """
+    return [
+        tuple(cls for cls in p.classes if cls[-1] != n + 1)
+        for p in enumerate_proper_partitions(n + 1, k + 1, n + 1)
+    ]
 
 
 def is_strong_general_position(points: PointSequence, r: int) -> bool:

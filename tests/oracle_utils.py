@@ -100,3 +100,43 @@ def labeled_proper_partitions(n, r, max_size):
 
     place(1, [set() for _ in range(r)])
     return out
+
+
+def disjoint_families_by_labeling(n, k):
+    """Families of k disjoint nonempty subsets of 1..n, by labeling walk.
+
+    Labels every element 0 (unused) or 1..k, keeps labelings that use every
+    label, and removes the k! relabelings of each family with a set.  Walks
+    (k+1)^n labelings; keep n small.
+    """
+    seen = set()
+    assignment = [0] * (n + 1)  # 0 = unused, 1..k = subset label
+
+    def emit():
+        family = [[] for _ in range(k)]
+        for i in range(1, n + 1):
+            if assignment[i]:
+                family[assignment[i] - 1].append(i)
+        if all(family):
+            key = frozenset(frozenset(g) for g in family)
+            if key not in seen and len(key) == k:
+                seen.add(key)
+                yield tuple(tuple(g) for g in family)
+
+    def walk(i):
+        if i > n:
+            yield from emit()
+            return
+        for label in range(k + 1):
+            assignment[i] = label
+            yield from walk(i + 1)
+        assignment[i] = 0
+
+    yield from walk(1)
+
+
+def stirling2(n, k):
+    """Stirling number of the second kind, by the textbook recurrence."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)

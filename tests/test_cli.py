@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tverberg import partitions
 from tverberg.cli import main
 from tverberg.sequences import sequence_from_json
 
@@ -180,3 +181,27 @@ def test_out_file_receives_the_report(capsys, tmp_path, line_seq, good_partition
 def test_r_contradicting_sequence_exits_two(capsys, line_seq):
     assert main(["enumerate", "--seq", line_seq, "--r", "3"]) == 2
     assert "contradicts" in capsys.readouterr().err
+
+
+def test_seed_flag_is_gone(capsys):
+    assert main(["rainbow", "--d", "1", "--r", "2", "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["rainbow", "--d", "1", "--r", "2", "--out", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_cross_check_failure_exits_three(capsys, monkeypatch, line_seq, good_partition):
+    real = partitions.det_sign
+    calls = []
+
+    def flip_first(m):
+        calls.append(m)
+        return -real(m) if len(calls) == 1 else real(m)
+
+    monkeypatch.setattr(partitions, "det_sign", flip_first)
+    assert main(["check", "--seq", line_seq, "--partition", good_partition]) == 3
+    assert "internal cross-check failed" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from tverberg.partitions import (
     CertificateMismatchError,
     DegeneratePointsError,
     Partition,
+    _disjoint_families,
     affine_intersection_dim,
     apply_affine,
     blocks,
@@ -26,7 +27,7 @@ from tverberg.partitions import (
 )
 from tverberg.sequences import PointSequence, gen_moment_curve
 
-from oracle_utils import labeled_proper_partitions
+from oracle_utils import disjoint_families_by_labeling, labeled_proper_partitions, stirling2
 
 
 def radon_line() -> PointSequence:
@@ -70,6 +71,11 @@ def test_partition_validation_and_accessors():
         Partition(4, [[1, 2], [3]])
     with pytest.raises(ValueError):
         Partition(2, [[1, 2], []])
+    for classes in ([[True], [2]], [["1"], [2]], [[1.0], [2]]):
+        with pytest.raises(ValueError):
+            Partition(2, classes)
+    with pytest.raises(ValueError):
+        partition_from_json({"n": 2, "classes": [["1"], [2]]})
 
 
 def test_partition_json_round_trip():
@@ -284,6 +290,18 @@ def test_affine_intersection_point_on_line():
     assert affine_intersection_dim(points, [[1, 2], [3]]) == 0
     far = PointSequence([[0, 2, 5], [0, 2, 1]])
     assert affine_intersection_dim(far, [[1, 2], [3]]) == -1
+
+
+def test_disjoint_families_match_labeling_walk():
+    def key(family):
+        return frozenset(frozenset(g) for g in family)
+
+    for n in range(1, 8):
+        for k in range(1, 5):
+            families = [key(f) for f in _disjoint_families(n, k)]
+            assert len(set(families)) == len(families)
+            assert set(families) == {key(f) for f in disjoint_families_by_labeling(n, k)}
+            assert len(families) == stirling2(n + 1, k + 1)
 
 
 def test_strong_general_position_examples():
