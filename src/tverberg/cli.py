@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import scalar, scalar_str
+from .exact import scalar_str
 from .fillings import (
     InvalidFillingError,
     dominance_report,
@@ -59,33 +58,6 @@ class InputError(ValueError):
     """A bad flag, file, or unmet precondition; maps to exit status 2."""
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, validated up front."""
-
-    command: str
-    seq_path: Optional[str] = None
-    partition_path: Optional[str] = None
-    out_path: Optional[str] = None
-    d: Optional[int] = None
-    r: Optional[int] = None
-    q: Optional[Fraction] = None
-    base: Fraction = Fraction(2)
-    schedule: str = "chain"
-    oracle: bool = False
-    as_json: bool = False
-
-    def __post_init__(self):
-        if self.d is not None and self.d < 1:
-            raise InputError("--d must be at least 1")
-        if self.r is not None and self.r < 2:
-            raise InputError("--r must be at least 2")
-        if self.q is not None and self.q <= 1:
-            raise InputError("--q must exceed 1")
-        if self.base <= 1:
-            raise InputError("--base must exceed 1")
-
-
 # ---------------------------------------------------------------------------
 # input and output plumbing
 
@@ -104,7 +76,7 @@ def _load_sequence(path: str) -> PointSequence:
     payload = _load_payload(path)
     try:
         return sequence_from_json(payload)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise InputError(f"bad sequence file {path}: {exc}") from exc
 
 
@@ -116,7 +88,7 @@ def _load_partition(path: str) -> Partition:
         raise InputError(f"bad partition file {path}: {exc}") from exc
 
 
-def _emit(config: RunConfig, lines: Sequence[str], payload: dict) -> None:
+def _emit(config: argparse.Namespace, lines: Sequence[str], payload: dict) -> None:
     text = json.dumps(payload, indent=2) if config.as_json else "\n".join(lines)
     if config.out_path:
         try:
@@ -156,7 +128,7 @@ def _derive_r(points: PointSequence, declared: Optional[int]) -> int:
     return r
 
 
-def _resolve_instance(config: RunConfig, partition: Optional[Partition] = None):
+def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition] = None):
     """Points plus (d, r, q) from a file or from the stock constructor."""
     if config.seq_path:
         points = _load_sequence(config.seq_path)
@@ -202,24 +174,18 @@ def _profile_for(points: PointSequence, q: Fraction):
 # commands
 
 
-def cmd_gen(config: RunConfig) -> int:
-    if config.d is None or config.r is None:
-        raise InputError("gen needs --d and --r")
+def cmd_gen(config: argparse.Namespace) -> int:
     n = tverberg_number(config.r, config.d)
     if config.schedule == "chain":
         points = gen_super_dominant(config.d, config.r, config.q, config.base).points
-    elif config.schedule == "uniform":
-        points = gen_power_sequence(config.base, uniform_exponents(config.d, n))
     else:
-        raise InputError(f"unknown schedule {config.schedule!r}")
+        points = gen_power_sequence(config.base, uniform_exponents(config.d, n))
     payload = sequence_to_json(points)
     _emit(config, [json.dumps(payload, indent=2)], payload)
     return PASS
 
 
-def cmd_check(config: RunConfig) -> int:
-    if not config.seq_path or not config.partition_path:
-        raise InputError("check needs --seq and --partition")
+def cmd_check(config: argparse.Namespace) -> int:
     points = _load_sequence(config.seq_path)
     partition = _load_partition(config.partition_path)
     if partition.n != points.length:
@@ -251,9 +217,7 @@ def cmd_check(config: RunConfig) -> int:
     return PASS if verdict.is_tverberg else FAIL
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    if not config.seq_path:
-        raise InputError("enumerate needs --seq")
+def cmd_enumerate(config: argparse.Namespace) -> int:
     points = _load_sequence(config.seq_path)
     r = _derive_r(points, config.r)
     found = enumerate_tverberg(points)
@@ -271,9 +235,7 @@ def cmd_enumerate(config: RunConfig) -> int:
     return PASS
 
 
-def cmd_rainbow(config: RunConfig) -> int:
-    if config.d is None or config.r is None:
-        raise InputError("rainbow needs --d and --r")
+def cmd_rainbow(config: argparse.Namespace) -> int:
     found = enumerate_rainbow(config.d, config.r)
     lines = [f"rainbow partitions for d = {config.d}, r = {config.r}: {len(found)}"]
     lines.extend("  " + _format_partition(p) for p in found)
@@ -287,7 +249,7 @@ def cmd_rainbow(config: RunConfig) -> int:
     return PASS
 
 
-def cmd_verify_universality(config: RunConfig) -> int:
+def cmd_verify_universality(config: argparse.Namespace) -> int:
     points, d, r, _, source = _resolve_instance(config)
     tverberg_set = enumerate_tverberg(points)
     rainbow_set = enumerate_rainbow(d, r)
@@ -320,9 +282,7 @@ def cmd_verify_universality(config: RunConfig) -> int:
     return PASS if equal else FAIL
 
 
-def cmd_dominant(config: RunConfig) -> int:
-    if not config.partition_path:
-        raise InputError("dominant needs --partition")
+def cmd_dominant(config: argparse.Namespace) -> int:
     partition = _load_partition(config.partition_path)
     points, d, r, q, source = _resolve_instance(config, partition)
     profile, coords = _profile_for(points, q)
@@ -365,9 +325,7 @@ def cmd_dominant(config: RunConfig) -> int:
     return PASS if agree else FAIL
 
 
-def cmd_witness(config: RunConfig) -> int:
-    if not config.partition_path:
-        raise InputError("witness needs --partition")
+def cmd_witness(config: argparse.Namespace) -> int:
     partition = _load_partition(config.partition_path)
     points, d, r, q, source = _resolve_instance(config, partition)
     if is_rainbow(partition, d):
@@ -397,9 +355,7 @@ def cmd_witness(config: RunConfig) -> int:
     return FAIL if verdict.is_tverberg else PASS
 
 
-def cmd_sgp(config: RunConfig) -> int:
-    if not config.seq_path:
-        raise InputError("sgp needs --seq")
+def cmd_sgp(config: argparse.Namespace) -> int:
     points = _load_sequence(config.seq_path)
     r = config.r if config.r is not None else _derive_r(points, None)
     ok = is_strong_general_position(points, r)
@@ -413,26 +369,57 @@ def cmd_sgp(config: RunConfig) -> int:
 # argument parsing
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "check": cmd_check,
-    "enumerate": cmd_enumerate,
-    "rainbow": cmd_rainbow,
-    "verify-universality": cmd_verify_universality,
-    "dominant": cmd_dominant,
-    "witness": cmd_witness,
-    "sgp": cmd_sgp,
+def _checked(kind, holds, requirement: str):
+    """An argparse type: parse with kind, then reject values failing holds."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ZeroDivisionError as exc:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_ABOVE_ONE = _checked(Fraction, lambda v: v > 1, "exceed 1")
+
+_FLAGS = {
+    "d": dict(type=_checked(int, lambda v: v >= 1, "be at least 1"), help="ambient dimension"),
+    "r": dict(type=_checked(int, lambda v: v >= 2, "be at least 2"), help="number of classes"),
+    "q": dict(type=_ABOVE_ONE, help="dominance threshold, e.g. 721 or 3/2"),
+    "base": dict(type=_ABOVE_ONE, default=Fraction(2), help="power base of a constructed sequence"),
+    "seq": dict(dest="seq_path", metavar="FILE", help="point sequence JSON file"),
+    "partition": dict(dest="partition_path", metavar="FILE", help="partition JSON file"),
+    "schedule": dict(
+        choices=("chain", "uniform"),
+        default="chain",
+        help="chain builds a verified super-dominant instance, uniform a plain geometric one",
+    ),
+    "oracle": dict(action="store_true", help="brute-force cross-check"),
+    "out": dict(dest="out_path", metavar="FILE", help="write the report to FILE instead of stdout"),
+    "json": dict(dest="as_json", action="store_true", help="machine-readable output"),
 }
 
-_HELP = {
-    "gen": "construct a point sequence and print its JSON document",
-    "check": "decide whether one partition is Tverberg for a sequence",
-    "enumerate": "list every Tverberg partition of a sequence",
-    "rainbow": "list the rainbow partitions for (d, r)",
-    "verify-universality": "compare Tverberg and rainbow partition sets, PASS/FAIL",
-    "dominant": "print the dominant grid filling for every omitted column",
-    "witness": "find a consecutive same-class pair with matching marker patterns",
-    "sgp": "check strong general position",
+# name: (handler, the flags it reads with * marking the required ones, help)
+_COMMANDS = {
+    "gen": (cmd_gen, "d* r* q base schedule out json",
+            "construct a point sequence and print its JSON document"),
+    "check": (cmd_check, "seq* partition* out json",
+              "decide whether one partition is Tverberg for a sequence"),
+    "enumerate": (cmd_enumerate, "seq* r out json",
+                  "list every Tverberg partition of a sequence"),
+    "rainbow": (cmd_rainbow, "d* r* out json", "list the rainbow partitions for (d, r)"),
+    "verify-universality": (cmd_verify_universality, "seq d r q base out json",
+                            "compare Tverberg and rainbow partition sets, PASS/FAIL"),
+    "dominant": (cmd_dominant, "partition* seq d r q base oracle out json",
+                 "print the dominant grid filling for every omitted column"),
+    "witness": (cmd_witness, "partition* seq d r q base out json",
+                "find a consecutive same-class pair with matching marker patterns"),
+    "sgp": (cmd_sgp, "seq* r out json", "check strong general position"),
 }
 
 
@@ -442,49 +429,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic Tverberg partition toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, handler in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=_HELP[name])
+    for name, (handler, flags, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        cmd.add_argument("--d", type=int, help="ambient dimension")
-        cmd.add_argument("--r", type=int, help="number of classes")
-        cmd.add_argument("--q", type=Fraction, help="dominance threshold, e.g. 721 or 3/2")
-        cmd.add_argument("--seq", metavar="FILE", help="point sequence JSON file")
-        cmd.add_argument("--partition", metavar="FILE", help="partition JSON file")
-        cmd.add_argument(
-            "--schedule",
-            choices=("chain", "uniform"),
-            default="chain",
-            help="gen only: chain builds a verified super-dominant instance, "
-            "uniform a plain geometric one",
-        )
-        cmd.add_argument("--base", type=Fraction, default=Fraction(2), help="power base for gen")
-        cmd.add_argument("--oracle", action="store_true", help="dominant only: brute-force cross-check")
-        cmd.add_argument("--out", metavar="FILE", help="write the report to FILE instead of stdout")
-        cmd.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag in flags.split():
+            key = flag.rstrip("*")
+            cmd.add_argument(f"--{key}", required=flag.endswith("*"), **_FLAGS[key])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    # Entries of verified instances outgrow Python's 4300-digit int/str
+    # conversion limit from (3,2) on; lift it for this call only.  Interpreters
+    # older than the limit have no setter.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+        return ns.handler(ns)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else PASS
-    try:
-        config = RunConfig(
-            command=ns.command,
-            seq_path=ns.seq,
-            partition_path=ns.partition,
-            out_path=ns.out,
-            d=ns.d,
-            r=ns.r,
-            q=scalar(ns.q) if ns.q is not None else None,
-            base=scalar(ns.base),
-            schedule=ns.schedule,
-            oracle=ns.oracle,
-            as_json=ns.json,
-        )
-        return ns.handler(config)
     except (InputError, NotDominantError, DegeneratePointsError, InvalidFillingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
@@ -494,6 +459,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

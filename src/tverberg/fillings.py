@@ -22,6 +22,7 @@ from typing import Optional, NamedTuple, Sequence
 from .exact import det, det_sign, scalar
 from .partitions import (
     Partition,
+    _position,
     build_system,
     is_rainbow,
     partition_from_json,
@@ -52,9 +53,11 @@ class Filling:
         n, r = partition.n, partition.r
         if r < 2:
             raise InvalidFillingError("fillings need at least two classes")
-        if not 1 <= ell <= n:
+        if not 1 <= _position(ell) <= n:
             raise InvalidFillingError(f"ell={ell} is not a position in 1..{n}")
-        rows = tuple(tuple(cell if cell is None else int(cell) for cell in row) for row in grid)
+        rows = tuple(
+            tuple(cell if cell is None else _position(cell) for cell in row) for row in grid
+        )
         if (n - 1) % (r - 1) != 0 or len(rows) != (n - 1) // (r - 1):
             raise InvalidFillingError(
                 f"grid needs exactly {(n - 1) // (r - 1) if (n - 1) % (r - 1) == 0 else '?'} rows"
@@ -707,7 +710,7 @@ def filling_to_json(filling: Filling) -> dict:
 def filling_from_json(payload: dict) -> Filling:
     try:
         partition = partition_from_json(payload["partition"])
-        ell = int(payload["ell"])
+        ell = payload["ell"]
         raw = payload["grid"]
     except (KeyError, TypeError) as exc:
         raise ValueError("filling payload needs keys 'ell', 'partition', 'grid'") from exc
@@ -720,6 +723,6 @@ def filling_from_json(payload: dict) -> Filling:
             elif isinstance(cell, str):
                 raise ValueError(f"row {k} may only carry the marker 'z{k}', got {cell!r}")
             else:
-                cells.append(int(cell))
+                cells.append(cell)
         grid.append(cells)
     return Filling(partition, ell, grid)

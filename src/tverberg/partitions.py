@@ -54,7 +54,7 @@ def blocks(d: int, r: int) -> tuple:
 
 def _position(i) -> int:
     if type(i) is not int:
-        raise ValueError(f"class members must be integers, got {i!r}")
+        raise ValueError(f"positions must be plain integers, got {i!r}")
     return i
 
 
@@ -66,6 +66,7 @@ class Partition:
     classes: tuple
 
     def __init__(self, n: int, classes: Sequence[Sequence[int]]):
+        _position(n)
         normalized = tuple(tuple(sorted(_position(i) for i in cls)) for cls in classes)
         if any(not cls for cls in normalized):
             raise ValueError("classes must be nonempty")

@@ -1,11 +1,41 @@
 """Exit codes and output shapes of the command-line front end."""
 import json
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from tverberg import partitions
-from tverberg.cli import main
+from tverberg.cli import build_parser, main
 from tverberg.sequences import sequence_from_json
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The flags each command's handler reads; * marks a required one.
+READS = {
+    "gen": "--d* --r* --q --base --schedule --out --json",
+    "check": "--seq* --partition* --out --json",
+    "enumerate": "--seq* --r --out --json",
+    "rainbow": "--d* --r* --out --json",
+    "verify-universality": "--seq --d --r --q --base --out --json",
+    "dominant": "--partition* --seq --d --r --q --base --oracle --out --json",
+    "witness": "--partition* --seq --d --r --q --base --out --json",
+    "sgp": "--seq* --r --out --json",
+}
+FLAG_VALUES = {
+    "--d": "1", "--r": "2", "--q": "3", "--base": "3", "--schedule": "chain",
+    "--seq": "s.json", "--partition": "p.json", "--oracle": None, "--out": "o.json", "--json": None,
+}
+
+
+def reads(command, required_only=False):
+    return [f.rstrip("*") for f in READS[command].split() if f.endswith("*") or not required_only]
+
+
+def flag_args(flags):
+    return [a for f in flags for a in (f, FLAG_VALUES[f]) if a is not None]
 
 
 def write_json(path, payload):
@@ -68,6 +98,14 @@ def test_missing_required_flags_exit_two(capsys, line_seq):
 def test_bad_threshold_exits_two(capsys):
     assert main(["gen", "--d", "1", "--r", "2", "--q", "1"]) == 2
     assert "--q" in capsys.readouterr().err
+    for flag, argv in (
+        ("--d", ["gen", "--d", "0", "--r", "2"]),
+        ("--r", ["gen", "--d", "1", "--r", "1"]),
+        ("--base", ["gen", "--d", "1", "--r", "2", "--base", "1"]),
+        ("--q", ["gen", "--d", "1", "--r", "2", "--q", "1/0"]),
+    ):
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err.strip().splitlines()[-1]
 
 
 def test_gen_is_deterministic_and_round_trips(capsys):
@@ -126,6 +164,9 @@ def test_dominant_with_oracle_agrees(capsys, tmp_path):
     assert len(payload["ells"]) == 5
     assert all(rec["sign"] in (-1, 1) for rec in payload["ells"])
     assert all(rec["oracle"] == "agree" for rec in payload["ells"])
+    argv = ["dominant", "--oracle", "--d", "1", "--r", "3", "--partition", part, "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_dominant_grid_matches_rainbow_layout(capsys, tmp_path):
@@ -205,3 +246,68 @@ def test_cross_check_failure_exits_three(capsys, monkeypatch, line_seq, good_par
     monkeypatch.setattr(partitions, "det_sign", flip_first)
     assert main(["check", "--seq", line_seq, "--partition", good_partition]) == 3
     assert "internal cross-check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            [command, *flag_args(reads(command, required_only=True)), *flag_args([flag])],
+            flag,
+            id=f"{command}{flag}",
+        )
+        for command in READS
+        for flag in FLAG_VALUES
+        if flag not in reads(command)
+    ]
+    + [
+        pytest.param(
+            ["rainbow", "--d", "1", "--r", "2", "--partition", "/nonexistent",
+             "--seq", "/nonexistent", "--oracle"],
+            "--oracle",
+            id="rainbow-unread-files",
+        )
+    ],
+)
+def test_command_rejects_flag_it_does_not_read(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", READS)
+def test_command_parses_every_flag_it_reads(capsys, command):
+    flags = reads(command)
+    assert build_parser().parse_args([command, *flag_args(flags)]).command == command
+    for missing in reads(command, required_only=True):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *flag_args(f for f in flags if f != missing)])
+        assert missing in capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_entry_beyond_int_digit_limit(capsys, tmp_path, good_partition):
+    big = "1" + "0" * 5000  # 10**5000, spelled out without an int-to-str conversion
+    seq = write_json(tmp_path / "big.json", {"d": 1, "n": 3, "points": [["1"], ["2"], [big]]})
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert main(["check", "--seq", seq, "--partition", good_partition]) == 0
+    assert "TVERBERG" in capsys.readouterr().out
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_zero_denominator_in_sequence_exits_two(capsys, tmp_path, good_partition):
+    seq = write_json(tmp_path / "zero.json", {"d": 1, "n": 3, "points": [["1"], ["2"], ["1/0"]]})
+    assert main(["check", "--seq", seq, "--partition", good_partition]) == 2
+    assert "bad sequence file" in capsys.readouterr().err
+
+
+def test_readme_command_examples_parse():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = {
+        build_parser().parse_args(shlex.split(line)[1:]).command
+        for line in block.splitlines()
+        if line.startswith("tverberg ")
+    }
+    assert commands == set(READS)

@@ -624,6 +624,12 @@ def test_filling_json_rejects_bad_markers():
         filling_from_json(payload)
     with pytest.raises(ValueError):
         filling_from_json({"ell": 1})
+    good = filling_to_json(canonical_filling(p, 1, [1, 2]))
+    for ell in (1.7, True, "1"):
+        with pytest.raises(ValueError):
+            filling_from_json({**good, "ell": ell})
+    with pytest.raises(ValueError):
+        filling_from_json({**good, "grid": [["z0", 2.5], [3.5, "z1"]]})
 
 
 def test_filling_validation_errors():
@@ -640,3 +646,7 @@ def test_filling_validation_errors():
         Filling(Partition(1, [[1]]), 1, [[None]])
     with pytest.raises(InvalidFillingError):
         canonical_filling(p, 1, [1, 1])
+    for ell, grid in ((1, [[None, 2.5], [3.5, None]]), (1, [[None, True], [3, None]]),
+                      (1.0, [[None, 2], [3, None]]), (True, [[None, 2], [3, None]])):
+        with pytest.raises(ValueError):
+            Filling(p, ell, grid)

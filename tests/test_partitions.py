@@ -76,6 +76,11 @@ def test_partition_validation_and_accessors():
             Partition(2, classes)
     with pytest.raises(ValueError):
         partition_from_json({"n": 2, "classes": [["1"], [2]]})
+    for n, classes in ((True, [[1]]), (2.0, [[1], [2]])):
+        with pytest.raises(ValueError):
+            Partition(n, classes)
+        with pytest.raises(ValueError):
+            partition_from_json({"n": n, "classes": classes})
 
 
 def test_partition_json_round_trip():
