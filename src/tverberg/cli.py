@@ -52,6 +52,7 @@ from .sequences import (
 )
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+DEFAULT_BASE = Fraction(2)
 
 
 class InputError(ValueError):
@@ -131,6 +132,8 @@ def _derive_r(points: PointSequence, declared: Optional[int]) -> int:
 def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition] = None):
     """Points plus (d, r, q) from a file or from the stock constructor."""
     if config.seq_path:
+        if config.base is not None:
+            raise InputError("--base applies to constructed instances only, not beside --seq")
         points = _load_sequence(config.seq_path)
         d = points.dim
         r = _derive_r(points, config.r)
@@ -152,9 +155,10 @@ def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition]
             if config.d is None or config.r is None:
                 raise InputError("need --seq FILE, or --d and --r to construct an instance")
             d, r = config.d, config.r
-        built = gen_super_dominant(d, r, config.q, config.base)
+        base = config.base if config.base is not None else DEFAULT_BASE
+        built = gen_super_dominant(d, r, config.q, base)
         points, q = built.points, built.q
-        source = f"constructed super-dominant (base {config.base})"
+        source = f"constructed super-dominant (base {base})"
     if partition is not None and partition.n != points.length:
         raise InputError(
             f"partition covers {partition.n} elements but the sequence has {points.length}"
@@ -176,10 +180,11 @@ def _profile_for(points: PointSequence, q: Fraction):
 
 def cmd_gen(config: argparse.Namespace) -> int:
     n = tverberg_number(config.r, config.d)
+    base = config.base if config.base is not None else DEFAULT_BASE
     if config.schedule == "chain":
-        points = gen_super_dominant(config.d, config.r, config.q, config.base).points
+        points = gen_super_dominant(config.d, config.r, config.q, base).points
     else:
-        points = gen_power_sequence(config.base, uniform_exponents(config.d, n))
+        points = gen_power_sequence(base, uniform_exponents(config.d, n))
     payload = sequence_to_json(points)
     _emit(config, [json.dumps(payload, indent=2)], payload)
     return PASS
@@ -250,6 +255,8 @@ def cmd_rainbow(config: argparse.Namespace) -> int:
 
 
 def cmd_verify_universality(config: argparse.Namespace) -> int:
+    if config.seq_path and config.q is not None:
+        raise InputError("--q applies to constructed instances only, not beside --seq")
     points, d, r, _, source = _resolve_instance(config)
     tverberg_set = enumerate_tverberg(points)
     rainbow_set = enumerate_rainbow(d, r)
@@ -391,7 +398,7 @@ _FLAGS = {
     "d": dict(type=_checked(int, lambda v: v >= 1, "be at least 1"), help="ambient dimension"),
     "r": dict(type=_checked(int, lambda v: v >= 2, "be at least 2"), help="number of classes"),
     "q": dict(type=_ABOVE_ONE, help="dominance threshold, e.g. 721 or 3/2"),
-    "base": dict(type=_ABOVE_ONE, default=Fraction(2), help="power base of a constructed sequence"),
+    "base": dict(type=_ABOVE_ONE, help="power base of a constructed sequence (default 2)"),
     "seq": dict(dest="seq_path", metavar="FILE", help="point sequence JSON file"),
     "partition": dict(dest="partition_path", metavar="FILE", help="partition JSON file"),
     "schedule": dict(

@@ -2,7 +2,9 @@
 
 All arithmetic is over arbitrary-precision rationals.  Entries can grow to
 millions of bits, so elimination is fraction-free (Bareiss): rows are scaled
-to integers once, and every intermediate value stays an exact integer.
+to integers once, and every intermediate value stays an exact integer.  One
+kernel serves det, rank and solve_linear; it pivots on the nonzero entry with
+the fewest bits, so the pivot every later step divides by stays small.
 """
 from __future__ import annotations
 
@@ -132,39 +134,67 @@ def _scaled_int_rows(rows: Iterable[Sequence[Fraction]]):
     return grid, scale
 
 
+def _fewest_bits(grid: list, first_row: int, free: list):
+    """(row, index into free) of the nonzero entry with the fewest bits, or None.
+
+    Scans rows from first_row on, columns in the order of free; the first
+    entry of the smallest size wins, and a 1-bit entry ends the scan.
+    """
+    best, best_bits = None, 0
+    for i in range(first_row, len(grid)):
+        row = grid[i]
+        for k, c in enumerate(free):
+            x = row[c]
+            if not x:
+                continue
+            bits = x.bit_length()  # of the magnitude, for int and mpz alike
+            if bits == 1:
+                return i, k
+            if best is None or bits < best_bits:
+                best, best_bits = (i, k), bits
+    return best
+
+
 def _eliminate(grid: list, width: int) -> tuple:
     """Fraction-free (Bareiss) forward pass over an integer grid, in place.
 
-    Pivots only within the first `width` columns, skipping a column with no
-    nonzero entry at or below the current row, and updates every column.
-    Returns (pivot columns, row-swap sign).  When columns 0..n-1 all pivot,
-    sign * grid[n-1][n-1] is the determinant of the leading n x n block.
+    Complete pivoting by size: each step pivots on the nonzero entry with the
+    fewest bits among the rows and the first `width` columns not yet pivoted,
+    and stops when that block is all zero.  Every later update divides by the
+    previous pivot, so small pivots keep the quotients short.  Exchanging rows
+    or columns not yet pivoted permutes the matrix in advance, which keeps
+    every division exact.  Returns (pivot column of each row in row order,
+    sign of the row swaps and column moves); when the leading n x n block has
+    full rank, sign * grid[n-1][pivots[-1]] is its determinant.
     """
     n_rows, n_cols = len(grid), len(grid[0])
+    free = list(range(width))  # unpivoted columns in order, after the pivoted ones
+    tail = range(width, n_cols)
     pivots = []
     sign = 1
     prev = _bigint(1)
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, n_rows) if grid[i][c]), None)
-        if pivot_row is None:
-            continue
+    for r in range(n_rows):
+        best = _fewest_bits(grid, r, free)
+        if best is None:
+            break
+        pivot_row, k = best
         if pivot_row != r:
             grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
             sign = -sign
+        if k % 2:  # moving free[k] to the front of the free columns
+            sign = -sign
+        c = free.pop(k)
+        rest = (*free, *tail)
         row_r = grid[r]
         pivot = row_r[c]
         for i in range(r + 1, n_rows):
             row_i = grid[i]
             head = row_i[c]
-            for j in range(c + 1, n_cols):
+            for j in rest:
                 row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
     return pivots, sign
 
 
@@ -177,7 +207,7 @@ def det(m: Matrix) -> Fraction:
     pivots, sign = _eliminate(grid, n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * int(grid[n - 1][n - 1]), scale)
+    return Fraction(sign * int(grid[n - 1][pivots[-1]]), scale)
 
 
 def det_sign(m: Matrix) -> int:
@@ -186,7 +216,7 @@ def det_sign(m: Matrix) -> int:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals, by fraction-free elimination with column skips."""
+    """Rank over the rationals: the pivot count of fraction-free elimination."""
     grid, _ = _scaled_int_rows(m)
     return len(_eliminate(grid, m.cols)[0])
 
@@ -201,12 +231,13 @@ def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     augmented = [tuple(row) + (rhs[i],) for i, row in enumerate(m)]
     grid, _ = _scaled_int_rows(augmented)
     n = m.rows
-    if len(_eliminate(grid, n)[0]) < n:
+    pivots, _ = _eliminate(grid, n)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is singular; no unique solution")
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         acc = Fraction(int(grid[i][n]))
-        for j in range(i + 1, n):
+        for j in pivots[i + 1:]:
             acc -= Fraction(int(grid[i][j])) * solution[j]
-        solution[i] = acc / Fraction(int(grid[i][i]))
+        solution[pivots[i]] = acc / Fraction(int(grid[i][pivots[i]]))
     return tuple(solution)

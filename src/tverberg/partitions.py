@@ -316,10 +316,20 @@ def affine_intersection_dim(points: PointSequence, subsets: Sequence[Sequence[in
     dimension minus the weight-space slack (weights describing one point are
     unique only up to each hull's own degeneracies).
     """
-    d = points.dim
     groups = [tuple(sorted(set(int(i) for i in sub))) for sub in subsets]
     if not groups or any(not g for g in groups):
         raise ValueError("need at least one nonempty subset")
+    return _intersection_dim(points, groups, [_hull_dim(points, g) for g in groups])
+
+
+def _hull_dim(points: PointSequence, group: Sequence[int]) -> int:
+    """Dimension of the affine hull of the points at the given positions."""
+    return rank(Matrix([[Fraction(1)] + list(points.point(i)) for i in group])) - 1
+
+
+def _intersection_dim(points: PointSequence, groups: Sequence, hull_dims: Sequence) -> int:
+    """affine_intersection_dim on sorted nonempty groups with known hull dimensions."""
+    d = points.dim
     var_count = sum(len(g) for g in groups) + d
     offsets = []
     acc = 0
@@ -347,11 +357,7 @@ def affine_intersection_dim(points: PointSequence, subsets: Sequence[Sequence[in
     if rank(augmented) > coeff_rank:
         return -1
     solution_dim = var_count - coeff_rank
-    slack = 0
-    for g in groups:
-        lifted = Matrix([[Fraction(1)] + list(points.point(i)) for i in g])
-        hull_dim = rank(lifted) - 1
-        slack += len(g) - 1 - hull_dim
+    slack = sum(len(g) - 1 - h for g, h in zip(groups, hull_dims))
     return solution_dim - slack
 
 
@@ -377,14 +383,15 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
     small instances.
     """
     d, n = points.dim, points.length
+    hull_dim: dict = {}  # sorted subset -> dimension of its affine hull
     for k in range(1, r + 1):
         for family in _disjoint_families(n, k):
-            total_codim = 0
             for g in family:
-                lifted = Matrix([[Fraction(1)] + list(points.point(i)) for i in g])
-                total_codim += d - (rank(lifted) - 1)
-            expected = min(d + 1, total_codim)
-            if d - affine_intersection_dim(points, family) != expected:
+                if g not in hull_dim:
+                    hull_dim[g] = _hull_dim(points, g)
+            dims = [hull_dim[g] for g in family]
+            expected = min(d + 1, sum(d - h for h in dims))
+            if d - _intersection_dim(points, family, dims) != expected:
                 return False
     return True
 

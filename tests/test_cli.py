@@ -311,3 +311,24 @@ def test_readme_command_examples_parse():
         if line.startswith("tverberg ")
     }
     assert commands == set(READS)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("verify-universality", "--base"),
+        ("verify-universality", "--q"),
+        ("dominant", "--base"),
+        ("witness", "--base"),
+    ],
+)
+def test_construction_flag_beside_seq_exits_two(capsys, tmp_path, line_seq, command, flag):
+    # A flag only the constructor reads would go unused with a sequence file.
+    part = write_json(tmp_path / "p.json", {"n": 3, "classes": [[1, 2], [3]]})
+    argv = [command, "--seq", line_seq, flag, "7"]
+    if command != "verify-universality":
+        argv += ["--partition", part]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err.strip().splitlines()[-1]

@@ -1,5 +1,6 @@
 """Exact linear algebra against naive oracles and frozen cases."""
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from tverberg.exact import (
     solve_linear,
 )
 
-from oracle_utils import det_by_expansion, rank_by_elimination, solve_by_gauss
+from oracle_utils import det_by_expansion, perm_sign, rank_by_elimination, solve_by_gauss
 
 small_fraction = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -150,3 +151,35 @@ def test_large_integer_det_is_exact():
     m = Matrix([[big, big + 1], [big - 1, big]])
     assert det(m) == big**2 - (big + 1) * (big - 1)
     assert det(m) == 1
+
+
+# The kernel pivots on the fewest-bit entry, so these cases put small entries
+# away from the diagonal: every row swap and column move must count in the sign.
+
+
+@pytest.mark.parametrize("perm", list(permutations(range(4))))
+def test_det_of_scaled_permutation_matrices(perm):
+    primes = (37, 2, 11, 5)  # 6, 2, 4 and 3 bits: pivots come out of row order
+    rows = [[primes[i] if j == perm[i] else 0 for j in range(4)] for i in range(4)]
+    expected = perm_sign(perm) * 37 * 2 * 11 * 5
+    assert det_by_expansion(rows) == expected
+    assert det(Matrix(rows)) == expected
+
+
+def test_det_with_smallest_entry_in_last_row_and_column():
+    rows = [[91, 60, 45], [77, 102, 38], [53, 66, 3]]
+    assert det(Matrix(rows)) == det_by_expansion(rows) == -107982
+
+
+def test_zero_first_column_and_late_small_entry():
+    wide = [[0, 40, 96, 7], [0, 90, 216, 50], [0, 11, 17, 2]]
+    assert rank(Matrix(wide)) == rank_by_elimination(wide) == 3
+    square = [row[:3] for row in wide]
+    assert rank(Matrix(square)) == 2
+    with pytest.raises(SingularMatrixError):
+        solve_linear(Matrix(square), [1, 2, 3])
+    rows = [[40, 96, 7], [90, 216, 50], [11, 17, 2]]
+    rhs = [1, -2, 5]
+    got = solve_linear(Matrix(rows), rhs)
+    assert got == solve_by_gauss(rows, rhs)
+    assert Matrix(rows).mul_vec(got) == tuple(Fraction(b) for b in rhs)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tverberg import partitions
 from tverberg.exact import DimensionError, Matrix, det, det_sign
 from tverberg.partitions import (
     CertificateMismatchError,
@@ -234,6 +235,14 @@ def test_cross_check_runs_both_routes():
     assert eager.is_tverberg == lazy.is_tverberg
 
 
+@pytest.mark.parametrize("d, r", [(2, 3), (3, 2)])
+def test_cross_check_on_super_instances(super_instance, d, r):
+    # Entries reach ~9 k bits at (2,3) and ~150 k at (3,2): the solve route and
+    # the Cramer route must agree on every proper partition.
+    sup, _ = super_instance(d, r)
+    assert enumerate_tverberg(sup.points, cross_check=True) == enumerate_rainbow(d, r)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_decide_agrees_with_cramer_on_random_lines(data):
@@ -329,6 +338,23 @@ def test_moment_curve_strong_general_position_depends_on_parameters():
     assert is_strong_general_position(gen_moment_curve(2, [1, 2, 4, 8]), 2)
     assert is_strong_general_position(gen_moment_curve(1, [1, 2, 3]), 2)
     assert is_strong_general_position(gen_moment_curve(3, [1, 2, 4, 8, 16]), 2)
+
+
+def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypatch):
+    sup, _ = super_instance(1, 4)
+    n = sup.points.length
+    calls = []
+    real = partitions.rank
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(partitions, "rank", counted)
+    assert is_strong_general_position(sup.points, 4)
+    families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
+    # two ranks per family (coefficients, augmented), one per nonempty subset
+    assert len(calls) == 2 * families + 2**n - 1 == 7815
 
 
 # ---------------------------------------------------------------------------
