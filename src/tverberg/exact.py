@@ -129,7 +129,7 @@ def _scaled_int_rows(rows: Iterable[Sequence[Fraction]]):
     scale = 1
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
-        grid.append([_bigint((x * mult).numerator) for x in row])
+        grid.append([_bigint(x.numerator * (mult // x.denominator)) for x in row])
         scale *= mult
     return grid, scale
 
@@ -234,6 +234,7 @@ def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     pivots, _ = _eliminate(grid, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular; no unique solution")
+    # Fraction steps cancel as they go; integer Cramer numerators (full determinant size) ran slower.
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         acc = Fraction(int(grid[i][n]))

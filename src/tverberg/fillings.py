@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, NamedTuple, Sequence
 
-from .exact import det, det_sign, scalar
+from .exact import _sign, det, scalar
 from .partitions import (
     Partition,
     _position,
@@ -142,8 +142,8 @@ def canonical_filling(partition: Partition, ell: int, z_columns: Sequence[int]) 
 def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bool = False) -> list:
     """Every filling of the class grid, in a fixed deterministic order.
 
-    Marker patterns are generated row by row with class columns tried in
-    ascending order; unless increasing_only is set, each pattern further
+    Marker patterns (the class column of each row's marker) come in
+    lexicographic order; unless increasing_only is set, each pattern further
     expands into all per-column arrangements of its elements.
     """
     n, r = partition.n, partition.r
@@ -155,24 +155,10 @@ def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bo
     if any(z < 0 for z in need):
         raise InvalidFillingError("a class has more elements than grid rows")
 
-    patterns: list = []
-
-    def place(row: int, remaining: list, chosen: list):
-        if row == height:
-            patterns.append(tuple(chosen))
-            return
-        for m in range(r):
-            if remaining[m] > 0:
-                remaining[m] -= 1
-                chosen.append(m + 1)
-                place(row + 1, remaining, chosen)
-                chosen.pop()
-                remaining[m] += 1
-
-    place(0, list(need), [])
-
     results = []
-    for zcols in patterns:
+    for zcols in itertools.product(range(1, r + 1), repeat=height):
+        if any(zcols.count(m) != need[m - 1] for m in range(1, r + 1)):
+            continue
         if increasing_only:
             results.append(canonical_filling(partition, ell, zcols))
             continue
@@ -668,9 +654,9 @@ def dominance_report(points: PointSequence, partition: Partition, ell: int, q) -
             f"max-not-dominant: |{top.value}| <= {threshold} * {runner_up}"
         )
     top_sign = top.sign * (1 if top.value > 0 else -1 if top.value < 0 else 0)
-    if top_sign != det_sign(m_ell):
+    if top_sign != _sign(determinant):
         violations.append(
-            f"sign-mismatch: dominant contributes {top_sign}, determinant sign is {det_sign(m_ell)}"
+            f"sign-mismatch: dominant contributes {top_sign}, determinant sign is {_sign(determinant)}"
         )
     total = sum(mono.sign * mono.value for mono in monomials)
     if total != determinant:

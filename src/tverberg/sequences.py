@@ -234,21 +234,28 @@ def is_q_increasing(row: Sequence[ScalarLike], q: ScalarLike) -> bool:
     return all(b > threshold * a for a, b in zip(values, values[1:]))
 
 
-def is_pseudo_geometric(a: PointSequence, q: ScalarLike) -> bool:
-    """Every pair of coordinate rows has a q-increasing ratio in one direction."""
+def _outgrowth_counts(a: PointSequence, q: ScalarLike) -> Optional[list]:
+    """Per row, how many rows it outgrows by q; None unless pseudo-geometric."""
     if a.dim < 2:
         raise ValueError("pseudo-geometric needs at least two coordinate rows")
     if not a.is_positive:
-        return False
+        return None
     threshold = scalar(q)
+    counts = [0] * a.dim
     for t, s in combinations(range(a.dim), 2):
-        ratio = [a.rows[t][i] / a.rows[s][i] for i in range(a.length)]
-        if not (
-            is_q_increasing(ratio, threshold)
-            or is_q_increasing([1 / x for x in ratio], threshold)
-        ):
-            return False
-    return True
+        ratio = [x / y for x, y in zip(a.rows[t], a.rows[s])]
+        up = is_q_increasing(ratio, threshold)
+        down = is_q_increasing([1 / x for x in ratio], threshold)
+        if not (up or down):
+            return None
+        counts[t] += up
+        counts[s] += down
+    return counts
+
+
+def is_pseudo_geometric(a: PointSequence, q: ScalarLike) -> bool:
+    """Every pair of coordinate rows has a q-increasing ratio in one direction."""
+    return _outgrowth_counts(a, q) is not None
 
 
 def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
@@ -259,15 +266,10 @@ def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
     sequence (each consecutive-row ratio q-increasing).
     """
     threshold = scalar(q)
-    if not is_pseudo_geometric(a, threshold):
+    counts = _outgrowth_counts(a, threshold)
+    if counts is None:
         raise NotDominantError("sequence is not pseudo-geometric; rows cannot be ordered")
-
-    def faster(t: int, s: int) -> bool:
-        ratio = [a.rows[t][i] / a.rows[s][i] for i in range(a.length)]
-        return is_q_increasing(ratio, threshold)
-
-    ranks = sorted(range(a.dim), key=lambda t: sum(faster(t, s) for s in range(a.dim) if s != t))
-    perm = tuple(t + 1 for t in ranks)
+    perm = tuple(t + 1 for t in sorted(range(a.dim), key=counts.__getitem__))
     reordered = PointSequence([a.rows[t - 1] for t in perm])
     if not is_ordered(reordered, threshold):
         raise ValueError("pairwise growth comparisons do not form a total order")
@@ -276,14 +278,7 @@ def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
 
 def is_ordered(a: PointSequence, q: ScalarLike) -> bool:
     """Positive, with every consecutive-coordinate ratio sequence q-increasing."""
-    if not a.is_positive:
-        return False
-    threshold = scalar(q)
-    return all(
-        growth_ratio(a, t, i, i + 1) > threshold
-        for t in range(1, a.dim)
-        for i in range(1, a.length)
-    )
+    return a.is_positive and _RatioTable(a).is_ordered(scalar(q))
 
 
 def growth_ratio(a: PointSequence, t: int, i: int, j: int) -> Fraction:
@@ -302,6 +297,10 @@ class _RatioTable:
             for t in range(1, a.dim)
         ]
         self._memo: dict = {}
+
+    def is_ordered(self, q: Fraction) -> bool:
+        """Every consecutive-row ratio sequence is q-increasing."""
+        return all(is_q_increasing(row, q) for row in self.ratios)
 
     def f(self, t: int, i: int, j: int) -> Fraction:
         key = (t, i, j)
@@ -342,7 +341,7 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
             raise IndexError(f"coordinate {c} out of range 1..{a.dim - 1}")
     threshold = scalar(q)
     table = _table if _table is not None else _RatioTable(a)
-    early_state = late_state = None
+    states: dict = {}
     for i, j, k in combinations(range(1, a.length + 1), 3):
         for which, top, bottom in (
             ("early", table.f(t, i, j), table.f(s, j, k)),
@@ -354,22 +353,14 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
                 state = "low"
             else:
                 return Relation.INCONSISTENT
-            if which == "early":
-                if early_state is None:
-                    early_state = state
-                elif early_state != state:
-                    return Relation.INCONSISTENT
-            else:
-                if late_state is None:
-                    late_state = state
-                elif late_state != state:
-                    return Relation.INCONSISTENT
+            if states.setdefault(which, state) != state:
+                return Relation.INCONSISTENT
     return {
         ("low", "low"): Relation.PRECEDES,
         ("high", "high"): Relation.SUCCEEDED_BY,
         ("high", "low"): Relation.LEFT_SIMILAR,
         ("low", "high"): Relation.RIGHT_SIMILAR,
-    }[(early_state, late_state)]
+    }[(states["early"], states["late"])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,9 +406,8 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
     gaps = a.dim - 1
     if gaps < 1:
         raise ValueError("a profile needs at least two coordinate rows")
-    if not is_ordered(a, threshold):
+    if not a.is_positive or not (table := _RatioTable(a)).is_ordered(threshold):
         raise NotDominantError("sequence is not ordered with q-increasing ratios")
-    table = _RatioTable(a)
     relations = {}
     for t in range(1, gaps + 1):
         for s in range(t + 1, gaps + 1):
@@ -432,34 +422,24 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
                 Relation.RIGHT_SIMILAR: Relation.RIGHT_SIMILAR,
             }[rel]
 
-    # Union similarity classes, then check each is uniform in kind.
-    parent = list(range(gaps + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (t, s), rel in relations.items():
-        if rel in (Relation.LEFT_SIMILAR, Relation.RIGHT_SIMILAR):
-            parent[find(t)] = find(s)
-    groups: dict = {}
-    for t in range(1, gaps + 1):
-        groups.setdefault(find(t), []).append(t)
-    classes = [tuple(sorted(members)) for members in groups.values()]
+    # A coordinate's class is itself plus everything similar to it; these
+    # sets partition 1..gaps exactly when similarity is transitive.
+    similar = (Relation.LEFT_SIMILAR, Relation.RIGHT_SIMILAR)
+    class_of = {
+        t: tuple(s for s in range(1, gaps + 1) if s == t or relations[(t, s)] in similar)
+        for t in range(1, gaps + 1)
+    }
+    for t, members in class_of.items():
+        for s in members:
+            if class_of[s] != members:
+                raise NotDominantError(f"similarity is not transitive: classes {members} and {class_of[s]} overlap")
+    classes = list(dict.fromkeys(class_of.values()))
     kinds = []
     for members in classes:
-        kind = None
-        for t, s in combinations(members, 2):
-            rel = relations[(t, s)]
-            if rel not in (Relation.LEFT_SIMILAR, Relation.RIGHT_SIMILAR):
-                raise NotDominantError(f"similarity is not transitive at ({t}, {s})")
-            if kind is None:
-                kind = rel
-            elif kind is not rel:
-                raise NotDominantError(f"similarity class {members} mixes kinds")
-        kinds.append(kind)
+        found = {relations[pair] for pair in combinations(members, 2)}
+        if len(found) > 1:
+            raise NotDominantError(f"similarity class {members} mixes kinds")
+        kinds.append(found.pop() if found else None)
 
     # Precedence between classes must be total and consistent.
     def class_precedes(members_a, members_b) -> bool:

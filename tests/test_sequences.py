@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tverberg import sequences
 from tverberg.sequences import (
     NotDominantError,
     PointSequence,
@@ -185,6 +186,11 @@ def test_order_permutation_on_decaying_coordinates():
     assert order_permutation(lifted, 3) == (2, 1)
 
 
+def test_order_permutation_ties_on_length_one_rows():
+    # one position: every row pair is q-monotone both ways, so all rows tie
+    assert order_permutation(PointSequence([[5], [1], [3]]), 2) == (1, 2, 3)
+
+
 def test_order_permutation_rejects_non_pseudo_geometric():
     a = PointSequence([[1, 1, 1], [1, 2, 1]])
     with pytest.raises(ValueError):
@@ -278,6 +284,47 @@ def test_profile_rejects_unordered_and_inconsistent():
         dominance_profile(PointSequence([[1, 1, 1], [4, 8, 64]]), 3)
     with pytest.raises(NotDominantError):
         dominance_profile(gen_power_sequence(4, uniform_exponents(3, 5)), 3)
+
+
+P, S, L, R = (
+    Relation.PRECEDES,
+    Relation.SUCCEEDED_BY,
+    Relation.LEFT_SIMILAR,
+    Relation.RIGHT_SIMILAR,
+)
+
+
+def profile_from_relations(monkeypatch, table):
+    """dominance_profile of an ordered chain whose pairs t < s classify as table[(t, s)]."""
+    gaps = max(s for _, s in table)
+    monkeypatch.setattr(sequences, "classify_pair", lambda a, q, t, s, _table=None: table[(t, s)])
+    return dominance_profile(gen_power_sequence(2, chain_exponents(gaps + 1, 4, 2, 3)), 3)
+
+
+@pytest.mark.parametrize(
+    "table, reason",
+    [
+        ({(1, 2): R, (1, 3): P, (2, 3): R}, "not transitive"),
+        ({(1, 2): L, (1, 3): R, (2, 3): L}, "mixes kinds"),
+        ({(1, 2): R, (1, 3): P, (2, 3): S}, "do not compare consistently"),
+        ({(1, 2): P, (1, 3): S, (2, 3): P}, "not a total order"),
+    ],
+)
+def test_profile_rejects_structural_failures(monkeypatch, table, reason):
+    # each table breaks exactly one condition of a dominance profile
+    with pytest.raises(NotDominantError, match=reason):
+        profile_from_relations(monkeypatch, table)
+
+
+def test_profile_orders_left_and_right_similar_classes(monkeypatch):
+    # right-similar {2, 4} precedes left-similar {1, 3}
+    table = {(1, 2): S, (1, 3): L, (1, 4): S, (2, 3): P, (2, 4): R, (3, 4): S}
+    profile = profile_from_relations(monkeypatch, table)
+    assert profile.classes == ((2, 4), (1, 3))
+    assert profile.kinds == (R, L)
+    assert profile.order == (2, 4, 3, 1)
+    assert profile.relation(4, 1) is P
+    assert profile.max_of([1, 2, 3, 4]) == 1
 
 
 def test_single_gap_profile():
