@@ -308,7 +308,7 @@ def cmd_dominant(config: argparse.Namespace) -> int:
             "sign": mono.sign,
         }
         if config.oracle:
-            report = dominance_report(points, partition, ell, q)
+            report = dominance_report(points, partition, ell, q, coords)
             ell_ok = report.ok and report.dominant == filling
             agree = agree and ell_ok
             record["oracle"] = "agree" if ell_ok else "disagree"

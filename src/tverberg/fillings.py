@@ -13,6 +13,7 @@ combinatorially from the dominance order of the coordinate gaps; the
 machinery here builds it, compares fillings through z-switches, and
 assembles the certificates used to refute non-rainbow partitions.
 """
+from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
@@ -620,21 +621,26 @@ class DominanceReport:
         }
 
 
-def dominance_report(points: PointSequence, partition: Partition, ell: int, q) -> DominanceReport:
+def dominance_report(
+    points: PointSequence, partition: Partition, ell: int, q, row_coords=None
+) -> DominanceReport:
     """Check the dominant-monomial claims exhaustively on one instance.
 
     Enumerates all monomials of det(M_ell), finds the largest by absolute
     value, and records violations when it fails to dominate the runner-up by
     a factor q, disagrees in sign with the determinant, or (as a self-check)
-    when the signed monomials fail to sum to the determinant.
+    when the signed monomials fail to sum to the determinant.  The grid rows
+    read the lifted coordinates in the order row_coords, as ordered_lift
+    returns it; without one, the points are lifted and ordered here.
     """
     threshold = scalar(q)
     notes = []
-    try:
-        _, row_coords = ordered_lift(points, threshold)
-    except ValueError:
-        row_coords = tuple(range(points.dim + 1))
-        notes.append("rows not orderable at this threshold; keeping the given order")
+    if row_coords is None:
+        try:
+            _, row_coords = ordered_lift(points, threshold)
+        except ValueError:
+            row_coords = tuple(range(points.dim + 1))
+            notes.append("rows not orderable at this threshold; keeping the given order")
 
     monomials = [
         monomial_value(f, points, row_coords)
@@ -665,7 +671,7 @@ def dominance_report(points: PointSequence, partition: Partition, ell: int, q) -
     return DominanceReport(
         ell=ell,
         q=threshold,
-        row_coords=row_coords,
+        row_coords=tuple(row_coords),
         monomial_count=len(monomials),
         dominant=top.filling,
         dominant_value=top.value,

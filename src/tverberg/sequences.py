@@ -13,6 +13,7 @@ ground sets.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -38,9 +39,17 @@ class Relation(enum.Enum):
 
 @dataclass(frozen=True)
 class PointSequence:
-    """Immutable d-dimensional sequence of n points, stored by coordinate rows."""
+    """Immutable d-dimensional sequence of n points, stored by coordinate rows.
+
+    A sequence made by gen_power_sequence also keeps the (base, exponents)
+    table its rows are the powers of, and every row or column selection of
+    it keeps the matching table, so growth is compared on integer exponents.
+    The table is not part of equality, hashing, repr or JSON; a sequence
+    built from rows never has one.
+    """
 
     rows: tuple
+    _exponents: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
         data = tuple(tuple(scalar(x) for x in row) for row in rows)
@@ -49,6 +58,7 @@ class PointSequence:
         if any(len(row) != len(data[0]) for row in data):
             raise ValueError("coordinate rows have unequal lengths")
         object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_exponents", None)
 
     @property
     def dim(self) -> int:
@@ -67,22 +77,37 @@ class PointSequence:
             raise IndexError(f"coordinate {t} out of range 1..{self.dim}")
         return self.rows[t - 1]
 
-    def entry(self, t: int, i: int) -> Fraction:
+    def _column(self, i: int) -> int:
         if not 1 <= i <= self.length:
             raise IndexError(f"position {i} out of range 1..{self.length}")
-        return self.row(t)[i - 1]
+        return i - 1
+
+    def entry(self, t: int, i: int) -> Fraction:
+        return self.row(t)[self._column(i)]
 
     def point(self, i: int) -> tuple:
-        if not 1 <= i <= self.length:
-            raise IndexError(f"position {i} out of range 1..{self.length}")
-        return tuple(row[i - 1] for row in self.rows)
+        col = self._column(i)
+        return tuple(row[col] for row in self.rows)
+
+    def _pick(self, rows: Sequence[int], cols: Sequence[int]) -> "PointSequence":
+        """The 0-based rows and columns given, with the matching exponent table."""
+        picked = PointSequence([[self.rows[t][i] for i in cols] for t in rows])
+        if self._exponents is None:
+            return picked
+        base, table = self._exponents
+        return _carrying(picked, base, tuple(tuple(table[t][i] for i in cols) for t in rows))
 
     def subsequence(self, positions: Sequence[int]) -> "PointSequence":
-        cols = [self.point(i) for i in positions]
-        return PointSequence([[col[t] for col in cols] for t in range(self.dim)])
+        return self._pick(range(self.dim), [self._column(i) for i in positions])
 
     def strided(self, step: int) -> "PointSequence":
         return self.subsequence(range(step, self.length + 1, step))
+
+
+def _carrying(points: PointSequence, base: Fraction, table: tuple) -> PointSequence:
+    """Attach the table; the caller guarantees points.rows == base**table."""
+    object.__setattr__(points, "_exponents", (base, table))
+    return points
 
 
 def sequence_to_json(points: PointSequence) -> dict:
@@ -121,12 +146,17 @@ def gen_power_sequence(base: ScalarLike, exponents: Sequence[Sequence[int]]) -> 
     """Rows base**e(t,i) for an integer exponent table.
 
     The exponent gaps e(t+1,i) - e(t,i) must be strictly increasing in i, so
-    every consecutive-row ratio sequence strictly grows.
+    every consecutive-row ratio sequence strictly grows.  The result keeps
+    the table, and its growth comparisons run on the exponents.
     """
     q_base = scalar(base)
     if q_base <= 1:
         raise ValueError("base must exceed 1")
-    table = [tuple(int(e) for e in row) for row in exponents]
+    table = tuple(tuple(row) for row in exponents)
+    for row in table:
+        for e in row:
+            if type(e) is not int:
+                raise ValueError(f"exponents must be plain integers, got {e!r}")
     if not table or any(len(row) != len(table[0]) for row in table):
         raise ValueError("exponent table must be rectangular and nonempty")
     for t in range(len(table) - 1):
@@ -135,7 +165,7 @@ def gen_power_sequence(base: ScalarLike, exponents: Sequence[Sequence[int]]) -> 
             raise ValueError(
                 f"exponent gaps between rows {t + 1} and {t + 2} must strictly increase"
             )
-    return PointSequence([[q_base**e for e in row] for row in table])
+    return _carrying(PointSequence([[q_base**e for e in row] for row in table]), q_base, table)
 
 
 def uniform_exponents(rows: int, length: int) -> list:
@@ -175,7 +205,11 @@ def default_threshold(d: int, r: int) -> Fraction:
 
 def lift(points: PointSequence) -> PointSequence:
     """Prepend the all-ones coordinate row."""
-    return PointSequence(((Fraction(1),) * points.length,) + points.rows)
+    lifted = PointSequence(((Fraction(1),) * points.length,) + points.rows)
+    if points._exponents is None:
+        return lifted
+    base, table = points._exponents
+    return _carrying(lifted, base, ((0,) * points.length,) + table)
 
 
 def ordered_lift(points: PointSequence, q: ScalarLike):
@@ -187,9 +221,8 @@ def ordered_lift(points: PointSequence, q: ScalarLike):
     lifted rows cannot be totally ordered at threshold q.
     """
     lifted = lift(points)
-    perm = order_permutation(lifted, q)
-    ordered = PointSequence([lifted.rows[t - 1] for t in perm])
-    return ordered, tuple(t - 1 for t in perm)
+    coords = tuple(t - 1 for t in order_permutation(lifted, q))
+    return lifted._pick(coords, range(lifted.length)), coords
 
 
 class SuperDominantSequence(NamedTuple):
@@ -217,7 +250,7 @@ def gen_super_dominant(d: int, r: int, q: Optional[ScalarLike] = None, base: Sca
     lifted = witness.strided(d + 1)
     if any(x != 1 for x in lifted.row(1)):
         raise AssertionError("chain witness lost its ones row")
-    points = PointSequence(lifted.rows[1:])
+    points = lifted._pick(range(1, lifted.dim), range(lifted.length))
     return SuperDominantSequence(points, lifted, witness, threshold)
 
 
@@ -240,12 +273,13 @@ def _outgrowth_counts(a: PointSequence, q: ScalarLike) -> Optional[list]:
         raise ValueError("pseudo-geometric needs at least two coordinate rows")
     if not a.is_positive:
         return None
-    threshold = scalar(q)
+    grid, quotient, beats = _growth_scale(a, scalar(q))
     counts = [0] * a.dim
     for t, s in combinations(range(a.dim), 2):
-        ratio = [x / y for x, y in zip(a.rows[t], a.rows[s])]
-        up = is_q_increasing(ratio, threshold)
-        down = is_q_increasing([1 / x for x in ratio], threshold)
+        ratio = [quotient(x, y) for x, y in zip(grid[t], grid[s])]
+        steps = list(zip(ratio, ratio[1:]))
+        up = all(beats(y, x) for x, y in steps)
+        down = all(beats(x, y) for x, y in steps)
         if not (up or down):
             return None
         counts[t] += up
@@ -270,7 +304,7 @@ def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
     if counts is None:
         raise NotDominantError("sequence is not pseudo-geometric; rows cannot be ordered")
     perm = tuple(t + 1 for t in sorted(range(a.dim), key=counts.__getitem__))
-    reordered = PointSequence([a.rows[t - 1] for t in perm])
+    reordered = a._pick([t - 1 for t in perm], range(a.length))
     if not is_ordered(reordered, threshold):
         raise ValueError("pairwise growth comparisons do not form a total order")
     return perm
@@ -278,7 +312,7 @@ def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
 
 def is_ordered(a: PointSequence, q: ScalarLike) -> bool:
     """Positive, with every consecutive-coordinate ratio sequence q-increasing."""
-    return a.is_positive and _RatioTable(a).is_ordered(scalar(q))
+    return a.is_positive and _RatioTable(a, scalar(q)).is_ordered()
 
 
 def growth_ratio(a: PointSequence, t: int, i: int, j: int) -> Fraction:
@@ -288,26 +322,56 @@ def growth_ratio(a: PointSequence, t: int, i: int, j: int) -> Fraction:
     return (a.entry(t + 1, j) * a.entry(t, i)) / (a.entry(t, j) * a.entry(t + 1, i))
 
 
-class _RatioTable:
-    """Cached consecutive-row ratios; growth_ratio(t,i,j) = ratio(t,j)/ratio(t,i)."""
+def _beat_exponent(base: Fraction, q: Fraction) -> int:
+    """Least integer c with base**c > q, for base > 1 and q > 0."""
+    c = _ceil_log(base, q)
+    if base**c == q:
+        c += 1
+    while base ** (c - 1) > q:  # only when q < 1
+        c -= 1
+    return c
 
-    def __init__(self, a: PointSequence):
+
+def _growth_scale(a: PointSequence, q: Fraction):
+    """The grid growth is compared on, its quotient, and "x beats y by q".
+
+    On a positive sequence.  With an exponent table (and q > 0) every entry
+    is base**e, so a quotient is an exponent difference and x > q*y is
+    x - y >= c for the least integer c with base**c > q.  Otherwise the
+    Fraction entries are divided and compared as they are.
+    """
+    if a._exponents is not None and q > 0:
+        base, table = a._exponents
+        c = _beat_exponent(base, q)
+        return table, operator.sub, lambda x, y: x - y >= c
+    return a.rows, operator.truediv, lambda x, y: x > q * y
+
+
+class _RatioTable:
+    """Cached consecutive-row ratios; growth_ratio(t,i,j) = ratio(t,j)/ratio(t,i).
+
+    Ratios are Fractions, or exponents of base on a tabled sequence; they are
+    only compared through `beats`, which means x > q*y either way.
+    """
+
+    def __init__(self, a: PointSequence, q: Fraction):
+        grid, self._quotient, self.beats = _growth_scale(a, q)
         self.ratios = [
-            [a.rows[t][i] / a.rows[t - 1][i] for i in range(a.length)]
+            [self._quotient(grid[t][i], grid[t - 1][i]) for i in range(a.length)]
             for t in range(1, a.dim)
         ]
         self._memo: dict = {}
 
-    def is_ordered(self, q: Fraction) -> bool:
+    def is_ordered(self) -> bool:
         """Every consecutive-row ratio sequence is q-increasing."""
-        return all(is_q_increasing(row, q) for row in self.ratios)
+        return all(self.beats(y, x) for row in self.ratios for x, y in zip(row, row[1:]))
 
-    def f(self, t: int, i: int, j: int) -> Fraction:
+    def f(self, t: int, i: int, j: int):
         key = (t, i, j)
         got = self._memo.get(key)
         if got is None:
             row = self.ratios[t - 1]
-            got = self._memo[key] = row[j - 1] / row[i - 1]
+            got = self._memo[key] = self._quotient(row[j - 1], row[i - 1])
         return got
 
 
@@ -340,16 +404,16 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
         if not 1 <= c < a.dim:
             raise IndexError(f"coordinate {c} out of range 1..{a.dim - 1}")
     threshold = scalar(q)
-    table = _table if _table is not None else _RatioTable(a)
+    table = _table if _table is not None else _RatioTable(a, threshold)
     states: dict = {}
     for i, j, k in combinations(range(1, a.length + 1), 3):
         for which, top, bottom in (
             ("early", table.f(t, i, j), table.f(s, j, k)),
             ("late", table.f(t, j, k), table.f(s, i, j)),
         ):
-            if top > threshold * bottom:
+            if table.beats(top, bottom):
                 state = "high"
-            elif threshold * top < bottom:
+            elif table.beats(bottom, top):
                 state = "low"
             else:
                 return Relation.INCONSISTENT
@@ -406,7 +470,7 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
     gaps = a.dim - 1
     if gaps < 1:
         raise ValueError("a profile needs at least two coordinate rows")
-    if not a.is_positive or not (table := _RatioTable(a)).is_ordered(threshold):
+    if not a.is_positive or not (table := _RatioTable(a, threshold)).is_ordered():
         raise NotDominantError("sequence is not ordered with q-increasing ratios")
     relations = {}
     for t in range(1, gaps + 1):

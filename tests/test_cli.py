@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tverberg import partitions
+from tverberg import cli, fillings, partitions
 from tverberg.cli import build_parser, main
 from tverberg.sequences import sequence_from_json
 
@@ -167,6 +167,23 @@ def test_dominant_with_oracle_agrees(capsys, tmp_path):
     argv = ["dominant", "--oracle", "--d", "1", "--r", "3", "--partition", part, "--json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out) == payload
+
+
+def test_dominant_oracle_lifts_once(capsys, monkeypatch, tmp_path):
+    part = write_json(tmp_path / "p.json", {"n": 5, "classes": [[3], [1, 2], [4, 5]]})
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+        return wrapper
+
+    for module in (cli, fillings):
+        monkeypatch.setattr(module, "ordered_lift", counted(module.ordered_lift))
+    assert main(["dominant", "--partition", part, "--oracle", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_agree"] is True
+    assert len(calls) == 1
 
 
 def test_dominant_grid_matches_rainbow_layout(capsys, tmp_path):

@@ -1,12 +1,16 @@
 """Grid fillings against brute-force transversal and argmax oracles."""
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tverberg
 from tverberg.exact import det
 from tverberg.fillings import (
     Filling,
@@ -602,6 +606,41 @@ def test_dominance_report_flags_slow_moment_curve():
     payload = report.to_json()
     assert payload["ok"] is False
     assert payload["violations"] == list(report.violations)
+
+
+def test_dominance_report_takes_the_callers_row_order(super_instance):
+    sup, _ = super_instance(1, 3)
+    _, coords = ordered_lift(sup.points, sup.q)
+    partition = Partition(5, [[3], [1, 2], [4, 5]])
+    for ell in (1, 3):
+        given_order = dominance_report(sup.points, partition, ell, sup.q, coords)
+        assert given_order == dominance_report(sup.points, partition, ell, sup.q)
+        assert given_order.ok and not given_order.notes
+    slow = gen_moment_curve(2, [1, 2, 3, 4, 5, 6, 7])
+    partition = Partition(7, [[1, 4, 7], [2, 5], [3, 6]])
+    report = dominance_report(slow, partition, 1, default_threshold(2, 3), [0, 1, 2])
+    assert report.row_coords == (0, 1, 2) and not report.notes
+
+
+def test_reimports_release_earlier_copies_of_the_package():
+    # Annotations evaluated at def time (Optional[PointSequence] and the like)
+    # land in typing's cache and would pin each imported copy's classes.
+    script = """
+import gc, importlib, sys, weakref
+def fresh():
+    for name in [m for m in sys.modules if m == "tverberg" or m.startswith("tverberg.")]:
+        del sys.modules[name]
+    return importlib.import_module("tverberg")
+first = weakref.ref(fresh().PointSequence)
+for _ in range(5):
+    fresh()
+gc.collect()
+sys.exit(0 if first() is None else 1)
+"""
+    src = os.path.dirname(os.path.dirname(tverberg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Growth ratios, pair classification, dominance profiles, generators."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from tverberg.sequences import (
     lift,
     monochromatic_subsequence,
     order_permutation,
+    ordered_lift,
     sequence_from_json,
     sequence_to_json,
     solve_prescribed_zeros,
@@ -116,6 +118,12 @@ def test_power_sequence_requires_growing_gaps():
         gen_power_sequence(2, [[1, 2, 3], [3, 4, 5]])  # gaps constant
     with pytest.raises(ValueError):
         gen_power_sequence(1, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2"])
+def test_power_sequence_rejects_non_integer_exponents(bad):
+    with pytest.raises(ValueError, match="exponents must be plain integers"):
+        gen_power_sequence(2, [[1, bad, 3], [2, 4, 6]])
 
 
 def test_lift_prepends_ones():
@@ -468,3 +476,121 @@ def test_monochromatic_orientation_coloring():
         return det_sign(Matrix(rows))
 
     assert monochromatic_subsequence(4, 3, orientation, 5) == [1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# exponent tables: power sequences compare growth on integer exponents
+
+
+def assert_table_matches(a):
+    base, table = a._exponents
+    assert a.rows == tuple(tuple(base**e for e in row) for row in table)
+
+
+def test_selections_keep_the_exponent_table():
+    base = Fraction(3, 2)
+    a = gen_power_sequence(base, chain_exponents(4, 8, base, 3))
+    shuffled = a._pick([3, 1, 2], range(a.length))  # no ones row, rows out of order
+    ordered, coords = ordered_lift(shuffled, 3)
+    assert coords == (0, 2, 3, 1)
+    assert ordered.rows == tuple(lift(shuffled).rows[c] for c in coords)
+    for selection in (a, shuffled, a.subsequence([2, 5, 7]), a.strided(2), lift(a), ordered):
+        assert_table_matches(selection)
+    assert ordered_lift(PointSequence(shuffled.rows), 3)[0]._exponents is None
+    built = gen_super_dominant(2, 2)
+    for seq in (built.points, built.lifted, built.witness):
+        assert_table_matches(seq)
+
+
+def test_exponent_table_is_not_part_of_the_value():
+    a = gen_power_sequence(2, chain_exponents(3, 6, 2, 3))
+    plain = PointSequence(a.rows)
+    assert plain._exponents is None and a._exponents is not None
+    assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
+    payload = sequence_to_json(a)
+    assert payload == sequence_to_json(plain)
+    assert set(payload) == {"d", "n", "points"}
+    loaded = sequence_from_json(payload)
+    assert loaded == a and loaded._exponents is None
+    tabled, untabled = dominance_profile(a, 3), dominance_profile(loaded, 3)
+    assert (tabled.classes, tabled.kinds, tabled.order, tabled.relations) == (
+        untabled.classes, untabled.kinds, untabled.order, untabled.relations
+    )
+
+
+def test_sequences_built_from_rows_carry_no_table():
+    assert PointSequence([[1, 2, 4], [1, 8, 64]])._exponents is None
+    assert gen_moment_curve(2, [1, 2, 3])._exponents is None
+    assert lift(PointSequence([[2, 4, 8]]))._exponents is None
+
+
+def test_gen_super_dominant_three_three_certifies():
+    built = gen_super_dominant(3, 3)
+    assert built.points.length == 9 and built.witness.length == 36
+    chain = ((1,), (2,), (3,))
+    assert dominance_profile(built.witness, built.q).classes == chain
+    ordered, coords = ordered_lift(built.points, built.q)
+    assert coords == (0, 1, 2, 3)
+    profile = dominance_profile(ordered, built.q)
+    assert profile.classes == chain and profile.order == (1, 2, 3)
+
+
+@pytest.mark.parametrize("base", [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5)])
+def test_beat_exponent_is_least_power_above_q(base):
+    for q in [Fraction(1, 9), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+              Fraction(2), Fraction(9, 4), Fraction(3), Fraction(4), Fraction(5), Fraction(25),
+              Fraction(40321)]:
+        c = sequences._beat_exponent(base, q)
+        assert base**c > q >= base ** (c - 1)
+
+
+DIFFERENTIAL_QS = [Fraction(x) for x in ("1/4", "1/2", "1", "3/2", "2", "9/4", "3", "4", "5", "8", "9", "0")]
+
+
+def random_exponent_table(rng, base, q):
+    """A free table (small exponents put many comparisons on the threshold),
+    or a chain schedule, row-shuffled and nudged at random."""
+    dim, length = rng.randint(1, 4), rng.randint(1, 6)
+    kind = rng.random()
+    if kind < 0.4:
+        top = 2 if kind < 0.2 else 60
+        return [[rng.randint(-3, top) for _ in range(length)] for _ in range(dim)]
+    table = chain_exponents(dim, length, base, rng.choice([2, 3, max(q, 2)]))
+    if kind < 0.7:
+        rng.shuffle(table)
+    if rng.random() < 0.4:
+        table[rng.randrange(dim)][rng.randrange(length)] += rng.randint(-3, 3)
+    return table
+
+
+def growth_outcomes(a, q):
+    def outcome(predicate):
+        try:
+            got = predicate()
+        except (ValueError, IndexError) as exc:
+            return type(exc), str(exc)
+        if isinstance(got, sequences.DominanceProfile):
+            return got.classes, got.kinds, got.order, got.relations
+        return got
+
+    predicates = [is_ordered, is_pseudo_geometric, order_permutation, dominance_profile, is_dominant]
+    found = [outcome(lambda: predicate(a, q)) for predicate in predicates]
+    if a.dim >= 3:
+        found.append(outcome(lambda: classify_pair(a, q, 1, 2)))
+    return found
+
+
+def test_exponent_route_matches_fraction_route():
+    rng = random.Random(6)
+    cases = dominant = 0
+    for _ in range(1000):
+        base = rng.choice([Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5)])
+        q = rng.choice(DIFFERENTIAL_QS)
+        table = random_exponent_table(rng, base, q)
+        plain = PointSequence([[base**e for e in row] for row in table])
+        tabled = sequences._carrying(PointSequence(plain.rows), base, tuple(map(tuple, table)))
+        expected = growth_outcomes(plain, q)
+        assert growth_outcomes(tabled, q) == expected, (base, q, table)
+        cases += len(expected)
+        dominant += expected[4] is True
+    assert cases >= 5000 and dominant >= 100
