@@ -144,6 +144,8 @@ def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition]
     else:
         if partition is not None:
             r = partition.r
+            if r < 2:
+                raise InputError(f"a partition needs at least two classes, got {r}")
             if (partition.n - 1) % (r - 1) != 0:
                 raise InputError("partition size fits no dimension")
             d = (partition.n - 1) // (r - 1) - 1

@@ -35,7 +35,7 @@ def scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, 'p/q' string, or Fraction to a canonical rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 

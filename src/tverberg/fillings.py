@@ -30,7 +30,7 @@ from .partitions import (
     partition_to_json,
     tverberg_number,
 )
-from .sequences import DominanceProfile, PointSequence, growth_ratio, lift, ordered_lift
+from .sequences import DominanceProfile, PointSequence, growth_ratio, lift
 
 
 class InvalidFillingError(ValueError):
@@ -335,34 +335,6 @@ def find_dominating_switch(filling: Filling, points: PointSequence, q, row_coord
 # the three-step split and the dominant filling
 
 
-class SplitStage(NamedTuple):
-    label: str
-    moved: Optional[int]
-    x_by_class: tuple
-    y_by_class: tuple
-
-
-class SplitResult(NamedTuple):
-    h_top: int
-    h_bot: int
-    stages: tuple
-
-    @property
-    def x_by_class(self) -> tuple:
-        return self.stages[-1].x_by_class
-
-    @property
-    def y_by_class(self) -> tuple:
-        return self.stages[-1].y_by_class
-
-
-def split_excess(x_by_class, y_by_class, h_top: int, h_bot: int) -> tuple:
-    """Total overshoot of the class traces beyond each side's capacity."""
-    over_x = sum(max(len(cls) - h_top, 0) for cls in x_by_class)
-    over_y = sum(max(len(cls) - h_bot, 0) for cls in y_by_class)
-    return over_x, over_y
-
-
 def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tuple:
     """Violation messages for the four dominant-split conditions, if any.
 
@@ -400,15 +372,14 @@ def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tu
     return tuple(violations)
 
 
-def dominant_split(elements_by_class, h_top: int, h_bot: int) -> SplitResult:
-    """Split class traces into a top and bottom band in three recorded steps.
+def dominant_split(elements_by_class, h_top: int, h_bot: int) -> tuple:
+    """Split class traces into a top and bottom band; return (x_by_class, y_by_class).
 
     Starts from the plain size split (smallest h_top*(r-1) elements on top),
     then returns per-class overflow to the other side, then migrates the
     largest pushable element down (or the smallest up) one at a time until
-    the top side has exactly h_top*(r-1) elements.  Every stage is recorded
-    so the bookkeeping can be audited; the final stage satisfies all four
-    split conditions.
+    the top side has exactly h_top*(r-1) elements.  The result satisfies all
+    four split conditions.
     """
     classes = [tuple(sorted(cls)) for cls in elements_by_class]
     r = len(classes)
@@ -424,14 +395,12 @@ def dominant_split(elements_by_class, h_top: int, h_bot: int) -> SplitResult:
     cut = set(universe[:target])
     x = [tuple(e for e in cls if e in cut) for cls in classes]
     y = [tuple(e for e in cls if e not in cut) for cls in classes]
-    stages = [SplitStage("initial", None, tuple(x), tuple(y))]
 
     for m in range(r):
         if len(x[m]) > h_top:
             x[m], y[m] = x[m][:h_top], tuple(sorted(x[m][h_top:] + y[m]))
         elif len(y[m]) > h_bot:
             x[m], y[m] = tuple(sorted(x[m] + y[m][:-h_bot])), y[m][-h_bot:]
-    stages.append(SplitStage("exchange", None, tuple(x), tuple(y)))
 
     def size_x() -> int:
         return sum(len(cls) for cls in x)
@@ -444,7 +413,6 @@ def dominant_split(elements_by_class, h_top: int, h_bot: int) -> SplitResult:
             e, m = max(movable)
             x[m] = x[m][:-1]
             y[m] = tuple(sorted(y[m] + (e,)))
-            stages.append(SplitStage("push-down", e, tuple(x), tuple(y)))
         else:
             movable = [(cls[0], m) for m, cls in enumerate(y) if cls and len(x[m]) < h_top]
             if not movable:
@@ -452,20 +420,18 @@ def dominant_split(elements_by_class, h_top: int, h_bot: int) -> SplitResult:
             e, m = min(movable)
             y[m] = y[m][1:]
             x[m] = tuple(sorted(x[m] + (e,)))
-            stages.append(SplitStage("push-up", e, tuple(x), tuple(y)))
 
-    return SplitResult(h_top, h_bot, tuple(stages))
-
-
-class LevelSplit(NamedTuple):
-    lo: int
-    hi: int
-    tau: int
-    split: SplitResult
+    return tuple(x), tuple(y)
 
 
-def _dominant_plan(partition: Partition, ell: int, profile: DominanceProfile):
-    """Recursive band splits plus the final per-row class placements."""
+def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProfile) -> Filling:
+    """The filling of the largest monomial, from the dominance order alone.
+
+    Works purely combinatorially: each recursion level splits its band of
+    grid rows at the most dominant interior gap via dominant_split, until
+    one-row bands fix every element's row and park the row's marker in its
+    unique empty class.
+    """
     n, r = partition.n, partition.r
     if r < 2 or (n - 1) % (r - 1) != 0:
         raise InvalidFillingError("partition shape does not admit a rectangular grid")
@@ -477,54 +443,22 @@ def _dominant_plan(partition: Partition, ell: int, profile: DominanceProfile):
     if not partition.is_proper(d):
         raise InvalidFillingError("only proper partitions admit a filling")
 
-    levels: list = []
-    rows: dict = {}
+    grid: list = [None] * (d + 1)
 
     def solve(lo: int, hi: int, by_class: tuple):
         if lo == hi:
-            empty = [m for m in range(r) if not by_class[m]]
-            if len(empty) != 1:
-                raise InvalidFillingError(
-                    f"row {lo} receives {r - len(empty)} occupied classes, wants {r - 1}"
-                )
-            rows[lo] = (tuple(cls[0] if cls else None for cls in by_class), empty[0] + 1)
+            grid[lo] = [cls[0] if cls else None for cls in by_class]
             return
         tau = profile.max_of(range(lo + 1, hi + 1))
-        split = dominant_split(by_class, tau - lo, hi - tau + 1)
-        bad = check_split_conditions(split.x_by_class, split.y_by_class, tau - lo, hi - tau + 1)
+        h_top, h_bot = tau - lo, hi - tau + 1
+        x_by_class, y_by_class = dominant_split(by_class, h_top, h_bot)
+        bad = check_split_conditions(x_by_class, y_by_class, h_top, h_bot)
         if bad:
             raise InvalidFillingError("split conditions failed: " + "; ".join(bad))
-        levels.append(LevelSplit(lo, hi, tau, split))
-        solve(lo, tau - 1, split.x_by_class)
-        solve(tau, hi, split.y_by_class)
+        solve(lo, tau - 1, x_by_class)
+        solve(tau, hi, y_by_class)
 
-    traces = tuple(tuple(sorted(set(cls) - {ell})) for cls in partition.classes)
-    solve(0, d, traces)
-    return levels, rows
-
-
-def split_trace(partition: Partition, ell: int, profile: DominanceProfile) -> tuple:
-    """All recursion-level splits behind the dominant filling, top level first."""
-    levels, _ = _dominant_plan(partition, ell, profile)
-    return tuple(levels)
-
-
-def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProfile) -> Filling:
-    """The filling of the largest monomial, from the dominance order alone.
-
-    Works purely combinatorially: each recursion level splits its band of
-    grid rows at the most dominant interior gap via dominant_split, until
-    one-row bands fix every element's row and park the row's marker in its
-    unique empty class.
-    """
-    _, rows = _dominant_plan(partition, ell, profile)
-    grid = []
-    for k in sorted(rows):
-        cells, marker = rows[k]
-        row = list(cells)
-        if row[marker - 1] is not None:
-            raise InvalidFillingError("marker collides with an element placement")
-        grid.append(row)
+    solve(0, d, tuple(tuple(sorted(set(cls) - {ell})) for cls in partition.classes))
     return Filling(partition, ell, grid)
 
 
@@ -598,31 +532,14 @@ class DominanceReport:
     runner_up: Optional[Fraction]
     determinant: Fraction
     violations: tuple
-    notes: tuple
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "q": str(self.q),
-            "row_coords": list(self.row_coords),
-            "monomials": self.monomial_count,
-            "dominant": filling_to_json(self.dominant),
-            "dominant_value": str(self.dominant_value),
-            "dominant_sign": self.dominant_sign,
-            "runner_up": None if self.runner_up is None else str(self.runner_up),
-            "determinant": str(self.determinant),
-            "violations": list(self.violations),
-            "notes": list(self.notes),
-            "ok": self.ok,
-        }
-
 
 def dominance_report(
-    points: PointSequence, partition: Partition, ell: int, q, row_coords=None
+    points: PointSequence, partition: Partition, ell: int, q, row_coords
 ) -> DominanceReport:
     """Check the dominant-monomial claims exhaustively on one instance.
 
@@ -631,17 +548,9 @@ def dominance_report(
     a factor q, disagrees in sign with the determinant, or (as a self-check)
     when the signed monomials fail to sum to the determinant.  The grid rows
     read the lifted coordinates in the order row_coords, as ordered_lift
-    returns it; without one, the points are lifted and ordered here.
+    returns it.
     """
     threshold = scalar(q)
-    notes = []
-    if row_coords is None:
-        try:
-            _, row_coords = ordered_lift(points, threshold)
-        except ValueError:
-            row_coords = tuple(range(points.dim + 1))
-            notes.append("rows not orderable at this threshold; keeping the given order")
-
     monomials = [
         monomial_value(f, points, row_coords)
         for f in enumerate_valid_fillings(partition, ell)
@@ -679,7 +588,6 @@ def dominance_report(
         runner_up=runner_up,
         determinant=determinant,
         violations=tuple(violations),
-        notes=tuple(notes),
     )
 
 

@@ -16,11 +16,9 @@ from typing import NamedTuple, Optional, Sequence
 from .exact import (
     DimensionError,
     Matrix,
-    ScalarLike,
     SingularMatrixError,
     det_sign,
     rank,
-    scalar,
     solve_linear,
 )
 from .sequences import PointSequence
@@ -71,7 +69,7 @@ class Partition:
         if any(not cls for cls in normalized):
             raise ValueError("classes must be nonempty")
         seen: list = sorted(i for cls in normalized for i in cls)
-        if seen != list(range(1, n + 1)):
+        if len(seen) != n or seen != list(range(1, n + 1)):
             raise ValueError(f"classes must cover 1..{n} exactly once")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", normalized)
@@ -394,51 +392,3 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
             if d - _intersection_dim(points, family, dims) != expected:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# invariance
-
-
-def apply_affine(
-    points: PointSequence,
-    linear: Matrix,
-    shift: Sequence[ScalarLike],
-) -> PointSequence:
-    """Map every point through x -> linear @ x + shift."""
-    d = points.dim
-    if linear.rows != d or linear.cols != d:
-        raise DimensionError("linear part must be d x d")
-    if len(shift) != d:
-        raise DimensionError("shift must have one entry per coordinate")
-    offsets = [scalar(s) for s in shift]
-    cols = []
-    for i in range(1, points.length + 1):
-        image = linear.mul_vec(points.point(i))
-        cols.append([x + s for x, s in zip(image, offsets)])
-    return PointSequence([[col[t] for col in cols] for t in range(d)])
-
-
-def transform_invariance_check(
-    points: PointSequence,
-    lifted_map: Matrix,
-    partition: Partition,
-) -> bool:
-    """Whether the verdict survives an invertible map of lifted coordinates.
-
-    lifted_map is (d+1)-square, acts on vectors (1, p), and must keep the
-    leading 1 in place (first row (1, 0, ..., 0)), which makes it an affine
-    change of coordinates on the points themselves.
-    """
-    d = points.dim
-    if lifted_map.rows != d + 1 or lifted_map.cols != d + 1:
-        raise DimensionError("lifted map must be (d+1)-square")
-    if lifted_map[0] != (Fraction(1),) + (Fraction(0),) * d:
-        raise ValueError("lifted map must fix the leading-one coordinate")
-    if det_sign(lifted_map) == 0:
-        raise ValueError("lifted map must be invertible")
-    shift = [lifted_map[t][0] for t in range(1, d + 1)]
-    linear = Matrix([row[1:] for row in tuple(lifted_map)[1:]])
-    before = decide_tverberg(points, partition)
-    after = decide_tverberg(apply_affine(points, linear, shift), partition)
-    return before.is_tverberg == after.is_tverberg

@@ -258,15 +258,6 @@ def gen_super_dominant(d: int, r: int, q: Optional[ScalarLike] = None, base: Sca
 # growth predicates
 
 
-def is_q_increasing(row: Sequence[ScalarLike], q: ScalarLike) -> bool:
-    """All entries positive and each consecutive ratio above q."""
-    values = [scalar(x) for x in row]
-    threshold = scalar(q)
-    if any(x <= 0 for x in values):
-        return False
-    return all(b > threshold * a for a, b in zip(values, values[1:]))
-
-
 def _outgrowth_counts(a: PointSequence, q: ScalarLike) -> Optional[list]:
     """Per row, how many rows it outgrows by q; None unless pseudo-geometric."""
     if a.dim < 2:
@@ -311,7 +302,10 @@ def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
 
 
 def is_ordered(a: PointSequence, q: ScalarLike) -> bool:
-    """Positive, with every consecutive-coordinate ratio sequence q-increasing."""
+    """Positive, with every consecutive-coordinate ratio sequence q-increasing.
+
+    A sequence is q-increasing when each term exceeds q times the one before.
+    """
     return a.is_positive and _RatioTable(a, scalar(q)).is_ordered()
 
 
@@ -552,17 +546,6 @@ def is_dominant(a: PointSequence, q: ScalarLike) -> bool:
     except NotDominantError:
         return False
     return True
-
-
-def is_super_dominant(a: PointSequence, q: ScalarLike, witness: PointSequence) -> bool:
-    """True when a is the dim-strided subsequence of the dominant witness."""
-    step = a.dim
-    if witness.dim != a.dim or witness.length != step * a.length:
-        return False
-    for i in range(1, a.length + 1):
-        if a.point(i) != witness.point(i * step):
-            return False
-    return is_dominant(witness, q)
 
 
 def growth_product(a: PointSequence, assignments) -> Fraction:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tverberg import cli, fillings, partitions
+from tverberg import cli, partitions
 from tverberg.cli import build_parser, main
 from tverberg.sequences import sequence_from_json
 
@@ -179,8 +179,7 @@ def test_dominant_oracle_lifts_once(capsys, monkeypatch, tmp_path):
             return original(*args)
         return wrapper
 
-    for module in (cli, fillings):
-        monkeypatch.setattr(module, "ordered_lift", counted(module.ordered_lift))
+    monkeypatch.setattr(cli, "ordered_lift", counted(cli.ordered_lift))
     assert main(["dominant", "--partition", part, "--oracle", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["oracle_agree"] is True
     assert len(calls) == 1
@@ -319,6 +318,22 @@ def test_zero_denominator_in_sequence_exits_two(capsys, tmp_path, good_partition
     assert "bad sequence file" in capsys.readouterr().err
 
 
+def test_boolean_sequence_entry_exits_two(capsys, tmp_path, good_partition):
+    seq = write_json(tmp_path / "bool.json", {"d": 1, "n": 3, "points": [["1"], ["2"], [True]]})
+    assert main(["check", "--seq", seq, "--partition", good_partition]) == 2
+    assert "bad sequence file" in capsys.readouterr().err
+
+
+def test_one_class_partition_exits_two(capsys, tmp_path):
+    part = write_json(tmp_path / "p.json", {"n": 3, "classes": [[1, 2, 3]]})
+    for command in ("dominant", "witness"):
+        assert main([command, "--partition", part]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "at least two classes" in captured.err
+
+
 def test_readme_command_examples_parse():
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
@@ -328,6 +343,13 @@ def test_readme_command_examples_parse():
         if line.startswith("tverberg ")
     }
     assert commands == set(READS)
+
+
+def test_readme_python_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library layout", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")
 
 
 @pytest.mark.parametrize(

@@ -38,8 +38,9 @@ def test_scalar_accepts_int_str_fraction():
     assert scalar(3) == Fraction(3)
     assert scalar("3/4") == Fraction(3, 4)
     assert scalar(Fraction(-2, 7)) == Fraction(-2, 7)
-    with pytest.raises(TypeError):
-        scalar(0.5)
+    for value in (0.5, True, False):
+        with pytest.raises(TypeError):
+            scalar(value)
 
 
 def test_scalar_str_round_trip():

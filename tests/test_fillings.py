@@ -28,8 +28,6 @@ from tverberg.fillings import (
     monomial_value,
     rainbow_filling,
     sign_flip_witness,
-    split_excess,
-    split_trace,
     switch_ratio,
     z_switch,
 )
@@ -389,39 +387,17 @@ def test_find_dominant_validations(super_instance):
         find_dominant_filling(Partition(5, [[3], [1, 2], [4, 5]]), 9, profile)
 
 
-def test_split_trace_levels_all_satisfy_conditions(super_instance):
-    _, profile = super_instance(2, 3)
-    for partition in (
-        Partition(7, [[1, 4, 7], [2, 5], [3, 6]]),
-        Partition(7, [[1, 2], [3, 4, 5], [6, 7]]),
-        Partition(7, [[7], [1, 2, 3], [4, 5, 6]]),
-    ):
-        for ell in (1, 4, 7):
-            levels = split_trace(partition, ell, profile)
-            assert levels[0].lo == 0 and levels[0].hi == 2
-            for level in levels:
-                h_top = level.tau - level.lo
-                h_bot = level.hi - level.tau + 1
-                assert (
-                    check_split_conditions(
-                        level.split.x_by_class, level.split.y_by_class, h_top, h_bot
-                    )
-                    == ()
-                )
-
-
 # ---------------------------------------------------------------------------
 # three-step split bookkeeping
 
 
 def test_dominant_split_stage_bookkeeping_frozen():
-    result = dominant_split([(1, 2, 3), (4, 5), (6,)], 2, 1)
-    labels = [stage.label for stage in result.stages]
-    assert labels == ["initial", "exchange", "push-up"]
-    assert result.stages[1].x_by_class == ((1, 2), (4,), ())
-    assert result.stages[2].moved == 5
-    assert result.x_by_class == ((1, 2), (4, 5), ())
-    assert result.y_by_class == ((3,), (), (6,))
+    # the size split puts 1,2,3,4 on top; the exchange returns 3 to the
+    # bottom; one push-up lifts 5
+    assert dominant_split([(1, 2, 3), (4, 5), (6,)], 2, 1) == (
+        ((1, 2), (4, 5), ()),
+        ((3,), (), (6,)),
+    )
 
 
 def random_band(rng):
@@ -449,22 +425,11 @@ def test_dominant_split_bookkeeping_randomized():
     rng = random.Random(20260819)
     for _ in range(200):
         classes, h_top, h_bot = random_band(rng)
-        result = dominant_split(classes, h_top, h_bot)
-        initial = result.stages[0]
-        exchanged = result.stages[1]
-        e_x, e_y = split_excess(initial.x_by_class, initial.y_by_class, h_top, h_bot)
-        size = lambda side: sum(len(cls) for cls in side)
-        assert size(exchanged.x_by_class) == size(initial.x_by_class) - e_x + e_y
-        assert split_excess(exchanged.x_by_class, exchanged.y_by_class, h_top, h_bot) == (0, 0)
-        previous = size(exchanged.x_by_class)
-        for stage in result.stages[2:]:
-            assert stage.label in ("push-down", "push-up")
-            now = size(stage.x_by_class)
-            assert abs(now - previous) == 1
-            previous = now
-            assert split_excess(stage.x_by_class, stage.y_by_class, h_top, h_bot) == (0, 0)
-        assert check_split_conditions(result.x_by_class, result.y_by_class, h_top, h_bot) == ()
-        assert result == dominant_split(classes, h_top, h_bot)
+        x_by_class, y_by_class = dominant_split(classes, h_top, h_bot)
+        for cls, x, y in zip(classes, x_by_class, y_by_class):
+            assert x + y == tuple(sorted(cls))
+        assert check_split_conditions(x_by_class, y_by_class, h_top, h_bot) == ()
+        assert (x_by_class, y_by_class) == dominant_split(classes, h_top, h_bot)
 
 
 def test_check_split_conditions_flags_each_condition():
@@ -569,23 +534,25 @@ def test_sign_flip_witness_dimension_mismatch(super_instance):
 
 def test_dominance_report_clean_on_super_points(super_instance):
     sup, _ = super_instance(1, 3)
+    _, coords = ordered_lift(sup.points, sup.q)
     for partition in enumerate_proper_partitions(5, 3, 2):
         for ell in (1, 4):
-            report = dominance_report(sup.points, partition, ell, sup.q)
+            report = dominance_report(sup.points, partition, ell, sup.q, coords)
             assert report.ok
             assert report.monomial_count >= 1
             assert report.determinant == sum(
-                (lambda mono: mono.sign * mono.value)(monomial_value(f, sup.points, report.row_coords))
+                (lambda mono: mono.sign * mono.value)(monomial_value(f, sup.points, coords))
                 for f in enumerate_valid_fillings(partition, ell)
             )
 
 
 def test_dominance_report_runner_up_is_second_largest(super_instance):
     sup, _ = super_instance(1, 2)
+    _, coords = ordered_lift(sup.points, sup.q)
     partition = Partition(3, [[1], [2, 3]])
-    report = dominance_report(sup.points, partition, 1, sup.q)
+    report = dominance_report(sup.points, partition, 1, sup.q, coords)
     values = sorted(
-        (abs(monomial_value(f, sup.points, report.row_coords).value)
+        (abs(monomial_value(f, sup.points, coords).value)
          for f in enumerate_valid_fillings(partition, 1)),
         reverse=True,
     )
@@ -599,27 +566,28 @@ def test_dominance_report_runner_up_is_second_largest(super_instance):
 def test_dominance_report_flags_slow_moment_curve():
     points = gen_moment_curve(2, [1, 2, 3, 4, 5, 6, 7])
     partition = Partition(7, [[1, 4, 7], [2, 5], [3, 6]])
-    report = dominance_report(points, partition, 1, default_threshold(2, 3))
+    report = dominance_report(points, partition, 1, default_threshold(2, 3), [0, 1, 2])
     assert not report.ok
     assert any(v.startswith("max-not-dominant") for v in report.violations)
-    assert report.notes
-    payload = report.to_json()
-    assert payload["ok"] is False
-    assert payload["violations"] == list(report.violations)
 
 
 def test_dominance_report_takes_the_callers_row_order(super_instance):
-    sup, _ = super_instance(1, 3)
+    sup, _ = super_instance(2, 2)
     _, coords = ordered_lift(sup.points, sup.q)
-    partition = Partition(5, [[3], [1, 2], [4, 5]])
-    for ell in (1, 3):
-        given_order = dominance_report(sup.points, partition, ell, sup.q, coords)
-        assert given_order == dominance_report(sup.points, partition, ell, sup.q)
-        assert given_order.ok and not given_order.notes
-    slow = gen_moment_curve(2, [1, 2, 3, 4, 5, 6, 7])
-    partition = Partition(7, [[1, 4, 7], [2, 5], [3, 6]])
-    report = dominance_report(slow, partition, 1, default_threshold(2, 3), [0, 1, 2])
-    assert report.row_coords == (0, 1, 2) and not report.notes
+    partition = Partition(4, [[1, 3], [2, 4]])
+    tops = set()
+    for row_coords in (coords, (0, 2, 1)):
+        report = dominance_report(sup.points, partition, 1, sup.q, row_coords)
+        assert report.row_coords == tuple(row_coords)
+        best = max(
+            (monomial_value(f, sup.points, row_coords) for f in enumerate_valid_fillings(partition, 1)),
+            key=lambda mono: abs(mono.value),
+        )
+        assert report.dominant == best.filling
+        tops.add(report.dominant)
+    assert len(tops) == 2
+    with pytest.raises(ValueError):
+        dominance_report(sup.points, partition, 1, sup.q, (0, 1, 1))
 
 
 def test_reimports_release_earlier_copies_of_the_package():

@@ -1,4 +1,5 @@
 """Partitions, the common-point system, and the two decision routes."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from tverberg.partitions import (
     Partition,
     _disjoint_families,
     affine_intersection_dim,
-    apply_affine,
     blocks,
     build_system,
     decide_tverberg,
@@ -23,7 +23,6 @@ from tverberg.partitions import (
     is_strong_general_position,
     partition_from_json,
     partition_to_json,
-    transform_invariance_check,
     tverberg_number,
 )
 from tverberg.sequences import PointSequence, gen_moment_curve
@@ -82,6 +81,17 @@ def test_partition_validation_and_accessors():
             Partition(n, classes)
         with pytest.raises(ValueError):
             partition_from_json({"n": n, "classes": classes})
+
+
+def test_partition_rejects_large_n_without_allocating_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            partition_from_json({"n": 10**6, "classes": [[1]]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_partition_json_round_trip():
@@ -355,37 +365,6 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
     families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
     # two ranks per family (coefficients, augmented), one per nonempty subset
     assert len(calls) == 2 * families + 2**n - 1 == 7815
-
-
-# ---------------------------------------------------------------------------
-# affine invariance
-
-
-def test_apply_affine_moves_points():
-    points = square_points()
-    moved = apply_affine(points, Matrix([[0, -1], [1, 0]]), [10, 0])
-    assert moved.point(2) == (Fraction(8), Fraction(2))
-
-
-def test_verdict_survives_affine_maps():
-    points = gen_moment_curve(2, [1, 2, 4, 8])
-    lifted_map = Matrix([[1, 0, 0], [7, "2/3", 1], ["-1/2", 0, -5]])
-    assert det(lifted_map) != 0
-    for classes in ([[1, 3], [2, 4]], [[1, 2], [3, 4]], [[1], [2, 3, 4]]):
-        assert transform_invariance_check(points, lifted_map, Partition(4, classes))
-
-
-def test_transform_invariance_rejects_bad_maps():
-    p = Partition(4, [[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        transform_invariance_check(
-            square_points(), Matrix([[1, 0, 0], [0, 1, 1], [0, 1, 1]]), p
-        )
-    with pytest.raises(ValueError):
-        # moves the leading-one coordinate
-        transform_invariance_check(
-            square_points(), Matrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]]), p
-        )
 
 
 def test_det_sign_route_columns_match_cramer():

@@ -22,8 +22,6 @@ from tverberg.sequences import (
     is_dominant,
     is_ordered,
     is_pseudo_geometric,
-    is_q_increasing,
-    is_super_dominant,
     lift,
     monochromatic_subsequence,
     order_permutation,
@@ -156,12 +154,6 @@ def test_growth_ratio_frozen():
     assert growth_ratio(a, 1, 1, 3) == 32
     with pytest.raises(IndexError):
         growth_ratio(a, 2, 1, 2)
-
-
-def test_is_q_increasing():
-    assert is_q_increasing([1, 10, 100], 9)
-    assert not is_q_increasing([1, 10, 100], 10)
-    assert not is_q_increasing([1, -10, 100], 2)
 
 
 def test_is_ordered_and_pseudo_geometric():
@@ -366,24 +358,16 @@ def test_gen_super_dominant_small():
     assert built.q == default_threshold(1, 2) == 25
     assert built.points.dim == 1 and built.points.length == 3
     assert built.lifted.row(1) == (1, 1, 1)
-    assert is_super_dominant(built.lifted, built.q, built.witness)
+    assert built.lifted == built.witness.strided(2)
+    assert is_dominant(built.witness, built.q)
 
 
 def test_gen_super_dominant_plane():
     built = gen_super_dominant(2, 2)
     assert built.points.dim == 2 and built.points.length == 4
     assert built.witness.length == 12
+    assert built.lifted == built.witness.strided(3)
     assert is_dominant(built.witness, built.q)
-    assert is_super_dominant(built.lifted, built.q, built.witness)
-
-
-def test_is_super_dominant_rejects_mismatches():
-    built = gen_super_dominant(1, 2)
-    assert not is_super_dominant(built.lifted, built.q, built.lifted)
-    tampered = PointSequence(
-        [built.lifted.rows[0], tuple(x * 2 for x in built.lifted.rows[1])]
-    )
-    assert not is_super_dominant(tampered, built.q, built.witness)
 
 
 # ---------------------------------------------------------------------------
