@@ -124,6 +124,8 @@ def _derive_r(points: PointSequence, declared: Optional[int]) -> int:
     if (n - 1) % (d + 1) != 0:
         raise InputError(f"a {d}-dimensional sequence of length {n} fits no class count")
     r = (n - 1) // (d + 1) + 1
+    if r < 2:
+        raise InputError(f"a sequence of length {n} gives r = {r}; a partition needs at least 2 classes")
     if declared is not None and declared != r:
         raise InputError(f"--r {declared} contradicts the sequence shape (expects r = {r})")
     return r

@@ -214,6 +214,36 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+def _transversal(filling: Filling, coords: tuple) -> tuple:
+    """(parity, flips, reads) of the filling's transversal under the row order.
+
+    parity is the sign of the transversal as a permutation of the original
+    system matrix, flips the number of markers on non-ones rows (each picks
+    a -1 entry), and reads the (coordinate, element) pairs of the point
+    entries it multiplies.
+    """
+    n, d = filling.partition.n, filling.d
+    perm = [0] * ((d + 1) * filling.r)
+    reads = []
+    flips = 0
+    for m in range(1, filling.r + 1):
+        base = (m - 1) * (d + 1)
+        for k, row in enumerate(filling.grid):
+            cell = row[m - 1]
+            if cell is None:
+                if coords[k] == 0:
+                    column = filling.ell - 1
+                else:
+                    flips += 1
+                    column = n + coords[k] - 1
+            else:
+                if coords[k] > 0:
+                    reads.append((coords[k], cell))
+                column = cell - 1
+            perm[base + coords[k]] = column
+    return _perm_sign(perm), flips, reads
+
+
 def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords=None) -> Monomial:
     """Exact value and transversal sign of the filling's monomial.
 
@@ -228,24 +258,11 @@ def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords
     if any(c > 0 for c in coords) and (points is None or points.dim != d or points.length != n):
         raise ValueError(f"points must be a {d}-dimensional sequence of length {n}")
 
-    value = Fraction(1)
-    perm = [0] * ((d + 1) * filling.r)
-    for m in range(1, filling.r + 1):
-        base = (m - 1) * (d + 1)
-        for k, row in enumerate(filling.grid):
-            cell = row[m - 1]
-            if cell is None:
-                if coords[k] == 0:
-                    column = filling.ell - 1
-                else:
-                    value = -value
-                    column = n + coords[k] - 1
-            else:
-                if coords[k] > 0:
-                    value *= points.entry(coords[k], cell)
-                column = cell - 1
-            perm[base + coords[k]] = column
-    return Monomial(filling, value, _perm_sign(perm))
+    parity, flips, reads = _transversal(filling, coords)
+    value = Fraction(-1 if flips % 2 else 1)
+    for t, i in reads:
+        value *= points.entry(t, i)
+    return Monomial(filling, value, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +529,26 @@ def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Option
             if markers(ell1) == markers(ell2):
                 return (ell1, ell2)
     return None
+
+
+def _dominant_signs(partition: Partition, profile: DominanceProfile, row_coords: tuple) -> list:
+    """sign det(M_ell) for ell = 1, 2, ..., up to the first that differs from ell = 1's.
+
+    Each sign is that of the dominant monomial (find_dominant_filling),
+    which is the determinant's sign when the ordered lift, read in the order
+    row_coords, is dominant at q >= default_threshold(d, r) under profile
+    (criteria 4 and 5).  Every lifted entry of such a sequence is positive,
+    so the sign is the transversal parity times -1 per marker on a non-ones
+    row, and no entry is multiplied.  The partition is Tverberg exactly when
+    the list ends on the sign it starts with.
+    """
+    signs = []
+    for ell in range(1, partition.n + 1):
+        parity, flips, _ = _transversal(find_dominant_filling(partition, ell, profile), row_coords)
+        signs.append(-parity if flips % 2 else parity)
+        if signs[-1] != signs[0]:
+            break
+    return signs
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A partition splits positions 1..n into r disjoint nonempty classes.  For
 n = (r-1)(d+1)+1 points in d dimensions the classes' convex hulls share a
 point exactly when a square linear system has an all-positive solution; this
 module builds that system, decides the property along two independent routes
-(direct solve and determinant signs), and enumerates partitions.
+(direct solve and determinant signs), and enumerates partitions, on a
+certified dominant sequence by dominant-monomial signs alone.
 """
 from __future__ import annotations
 
@@ -21,7 +22,13 @@ from .exact import (
     rank,
     solve_linear,
 )
-from .sequences import PointSequence
+from .sequences import (
+    NotDominantError,
+    PointSequence,
+    default_threshold,
+    dominance_profile,
+    ordered_lift,
+)
 
 
 class DegeneratePointsError(ValueError):
@@ -279,27 +286,65 @@ def decide_tverberg(
 def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list:
     """All proper partitions whose hulls share a point, in listing order.
 
-    The class count r is forced by n = (r-1)(d+1)+1; a length that fits no r
-    raises DimensionError.
+    The class count r is forced by n = (r-1)(d+1)+1; a length that fits no
+    r >= 2 raises DimensionError.
 
-    A partition with a singular system is kept out of the result only when
-    the classes' affine hulls provably have empty intersection (so the hulls
-    cannot share a point either); any other singularity is a genuine
-    degeneracy and the error propagates.
+    When the ordered lift of the points is dominant at default_threshold(d,
+    r), each partition is decided by the signs of the dominant monomials of
+    det(M_1), det(M_2), ..., stopping at the first that disagrees, and no
+    system is solved.  Any other sequence takes the solve route.  With
+    cross_check on, the solve route with its Cramer check runs on every
+    partition as well, and a dominant sign that differs from the
+    determinant's raises CertificateMismatchError.
+
+    On the solve route, a partition with a singular system is kept out of
+    the result only when the classes' affine hulls provably have empty
+    intersection (so the hulls cannot share a point either); any other
+    singularity is a genuine degeneracy and the error propagates.
     """
+    from .fillings import _dominant_signs  # fillings imports this module
+
     d, n = points.dim, points.length
     if (n - 1) % (d + 1) != 0:
         raise DimensionError(f"n={n} fits no class count for d={d}")
     r = (n - 1) // (d + 1) + 1
+    if r < 2:
+        raise DimensionError(f"n={n} gives a single class; a partition needs r >= 2")
+    certificate = _certified_profile(points, r)
     found = []
     for p in enumerate_proper_partitions(n, r, d + 1):
-        try:
-            if decide_tverberg(points, p, cross_check=cross_check).is_tverberg:
-                found.append(p)
-        except DegeneratePointsError:
-            if affine_intersection_dim(points, p.classes) != -1:
-                raise
+        if certificate is not None:
+            signs = _dominant_signs(p, *certificate)
+            hit = signs[-1] == signs[0]
+        if certificate is None or cross_check:
+            try:
+                verdict = decide_tverberg(points, p, cross_check=cross_check)
+            except DegeneratePointsError:
+                if affine_intersection_dim(points, p.classes) != -1:
+                    raise
+                verdict = None
+            solved = verdict is not None and verdict.is_tverberg
+            if certificate is not None and (
+                solved != hit
+                or (verdict is not None and verdict.det_signs[: len(signs)] != tuple(signs))
+            ):
+                raise CertificateMismatchError(
+                    "dominant-monomial signs disagree with the determinant route"
+                )
+            hit = solved
+        if hit:
+            found.append(p)
     return found
+
+
+def _certified_profile(points: PointSequence, r: int) -> Optional[tuple]:
+    """(profile, row_coords) of the ordered lift at default_threshold(d, r), or None."""
+    q = default_threshold(points.dim, r)
+    try:
+        ordered, coords = ordered_lift(points, q)
+        return dominance_profile(ordered, q), coords
+    except NotDominantError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_criterion_02_tverberg_equals_rainbow_on_super_instances(super_instance,
     for d, r in ((1, 2), (1, 3), (2, 2), (3, 2), (2, 3)):
         sup, _ = super_instance(d, r)
         assert sup.q == default_threshold(d, r)
-        found = set(enumerate_tverberg(sup.points))
+        found = set(enumerate_tverberg(sup.points, cross_check=True))
         rainbow = set(enumerate_rainbow(d, r))
         assert found == rainbow, f"(d,r)=({d},{r}): {found ^ rainbow}"
         cases.append(f"({d},{r})={len(found)}")

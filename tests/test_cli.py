@@ -371,3 +371,14 @@ def test_construction_flag_beside_seq_exits_two(capsys, tmp_path, line_seq, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["verify-universality", "enumerate", "sgp"])
+def test_one_point_sequence_exits_two(capsys, tmp_path, command):
+    # One point fits r = 1, below the two classes a partition needs.
+    seq = write_json(tmp_path / "one.json", {"d": 1, "n": 1, "points": [["5"]]})
+    assert main([command, "--seq", seq]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "at least 2 classes" in captured.err

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tverberg import partitions
+from tverberg import fillings, partitions
 from tverberg.exact import DimensionError, Matrix, det, det_sign
+from tverberg.fillings import _dominant_signs
 from tverberg.partitions import (
     CertificateMismatchError,
     DegeneratePointsError,
@@ -234,6 +235,47 @@ def test_enumerate_survives_parallel_secants():
 def test_enumerate_rejects_incompatible_length():
     with pytest.raises(DimensionError):
         enumerate_tverberg(gen_moment_curve(2, [1, 2, 3]))
+    with pytest.raises(DimensionError):  # one point fits only r = 1
+        enumerate_tverberg(PointSequence([[5]]))
+
+
+def test_enumerate_solves_only_uncertified_inputs(super_instance, monkeypatch):
+    real = partitions.solve_linear
+    calls = []
+
+    def counting(matrix, rhs):
+        calls.append(matrix)
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(partitions, "solve_linear", counting)
+    sup, _ = super_instance(2, 3)
+    assert enumerate_tverberg(sup.points) == enumerate_rainbow(2, 3)
+    assert calls == []
+    # The moment curves of criterion 1; d = 2 is also the parallel-secant
+    # case, whose singular system is still solved before it is discarded.
+    for d in (1, 2, 3, 4):
+        points = gen_moment_curve(d, list(range(1, d + 3)))
+        odd, even = tuple(range(1, d + 3, 2)), tuple(range(2, d + 3, 2))
+        assert [p.classes for p in enumerate_tverberg(points)] == [(odd, even)]
+        assert len(calls) == len(enumerate_proper_partitions(d + 2, 2, d + 1))
+        calls.clear()
+
+
+def test_enumerate_cross_check_catches_a_wrong_dominant_sign(super_instance, monkeypatch):
+    sup, _ = super_instance(1, 3)
+    real = fillings._dominant_signs
+    # Negating every sign keeps each verdict; only the sign comparison sees it.
+    monkeypatch.setattr(fillings, "_dominant_signs", lambda *args: [-s for s in real(*args)])
+    assert enumerate_tverberg(sup.points) == enumerate_rainbow(1, 3)
+    with pytest.raises(CertificateMismatchError):
+        enumerate_tverberg(sup.points, cross_check=True)
+
+
+def test_enumerate_reaches_three_three(super_instance):
+    # 1,855 proper partitions with entries of ~1.5 M bits: the solve route
+    # does not finish here, the dominant-sign route takes about a second.
+    sup, _ = super_instance(3, 3)
+    assert enumerate_tverberg(sup.points) == enumerate_rainbow(3, 3)
 
 
 def test_cross_check_runs_both_routes():
@@ -245,12 +287,27 @@ def test_cross_check_runs_both_routes():
     assert eager.is_tverberg == lazy.is_tverberg
 
 
-@pytest.mark.parametrize("d, r", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("d, r", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
 def test_cross_check_on_super_instances(super_instance, d, r):
-    # Entries reach ~9 k bits at (2,3) and ~150 k at (3,2): the solve route and
-    # the Cramer route must agree on every proper partition.
+    # Entries reach ~9 k bits at (2,3) and ~150 k at (3,2).  On every proper
+    # partition the solve route and the Cramer route agree (decide_tverberg
+    # raises otherwise), the dominant-monomial signs give the same verdict
+    # and equal the determinant signs they reach, and a rejection's first
+    # two disagreeing ells have opposite determinant signs.
     sup, _ = super_instance(d, r)
-    assert enumerate_tverberg(sup.points, cross_check=True) == enumerate_rainbow(d, r)
+    certificate = partitions._certified_profile(sup.points, r)
+    assert certificate is not None
+    accepted = []
+    for p in enumerate_proper_partitions(sup.points.length, r, d + 1):
+        verdict = decide_tverberg(sup.points, p, cross_check=True)
+        signs = _dominant_signs(p, *certificate)
+        assert (signs[-1] == signs[0]) == verdict.is_tverberg, p
+        assert tuple(signs) == verdict.det_signs[: len(signs)], p
+        if verdict.is_tverberg:
+            accepted.append(p)
+        else:
+            assert verdict.det_signs[0] == -verdict.det_signs[len(signs) - 1], p
+    assert accepted == enumerate_rainbow(d, r)
 
 
 @given(st.data())
