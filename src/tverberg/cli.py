@@ -22,13 +22,13 @@ from .fillings import (
     filling_to_json,
     find_dominant_filling,
     monomial_value,
-    rainbow_filling,
     sign_flip_witness,
 )
 from .partitions import (
     CertificateMismatchError,
     DegeneratePointsError,
     Partition,
+    _class_count,
     decide_tverberg,
     enumerate_rainbow,
     enumerate_tverberg,
@@ -120,12 +120,7 @@ def _grid_lines(filling) -> list:
 
 
 def _derive_r(points: PointSequence, declared: Optional[int]) -> int:
-    n, d = points.length, points.dim
-    if (n - 1) % (d + 1) != 0:
-        raise InputError(f"a {d}-dimensional sequence of length {n} fits no class count")
-    r = (n - 1) // (d + 1) + 1
-    if r < 2:
-        raise InputError(f"a sequence of length {n} gives r = {r}; a partition needs at least 2 classes")
+    r = _class_count(points)
     if declared is not None and declared != r:
         raise InputError(f"--r {declared} contradicts the sequence shape (expects r = {r})")
     return r

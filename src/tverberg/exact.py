@@ -3,8 +3,8 @@
 All arithmetic is over arbitrary-precision rationals.  Entries can grow to
 millions of bits, so elimination is fraction-free (Bareiss): rows are scaled
 to integers once, and every intermediate value stays an exact integer.  One
-kernel serves det, rank and solve_linear; it pivots on the nonzero entry with
-the fewest bits, so the pivot every later step divides by stays small.
+kernel serves every routine below; it pivots on the nonzero entry with the
+fewest bits, so the pivot every later step divides by stays small.
 """
 from __future__ import annotations
 
@@ -221,17 +221,33 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(grid, m.cols)[0])
 
 
+def _eliminate_augmented(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
+    """(grid, pivots) of one forward pass over [m | b], pivoting in m's columns only."""
+    if len(b) != m.rows:
+        raise DimensionError("right-hand side has the wrong length")
+    grid, _ = _scaled_int_rows(row + (scalar(x),) for row, x in zip(m, b))
+    pivots, _ = _eliminate(grid, m.cols)
+    return grid, pivots
+
+
+def solution_dim(m: Matrix, b: Sequence[ScalarLike]) -> int:
+    """Dimension of the solution set of m x = b; -1 when it is empty.
+
+    The pivot count is the rank of m, and the rows after the pivot rows are
+    zero in m's columns: the set is empty when one keeps a nonzero rhs entry.
+    """
+    grid, pivots = _eliminate_augmented(m, b)
+    if any(row[m.cols] for row in grid[len(pivots):]):
+        return -1
+    return m.cols - len(pivots)
+
+
 def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     """Unique exact solution of m x = b; raises SingularMatrixError otherwise."""
     if not m.is_square:
         raise DimensionError("solve_linear needs a square matrix")
-    if len(b) != m.rows:
-        raise DimensionError("right-hand side has the wrong length")
-    rhs = [scalar(x) for x in b]
-    augmented = [tuple(row) + (rhs[i],) for i, row in enumerate(m)]
-    grid, _ = _scaled_int_rows(augmented)
+    grid, pivots = _eliminate_augmented(m, b)
     n = m.rows
-    pivots, _ = _eliminate(grid, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular; no unique solution")
     # Fraction steps cancel as they go; integer Cramer numerators (full determinant size) ran slower.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
@@ -20,6 +20,7 @@ from .exact import (
     SingularMatrixError,
     det_sign,
     rank,
+    solution_dim,
     solve_linear,
 )
 from .sequences import (
@@ -172,24 +173,41 @@ def enumerate_rainbow(d: int, r: int) -> list:
 
 
 class TverbergSystem(NamedTuple):
-    """Square system: per class, an affine-combination row block; shared point.
-
-    column_map names each column ("alpha", i) or ("z", t); row_map names each
-    row (m, t) with t = 0 the combination-sums-to-one row of class m.
-    """
+    """The common-point system matrix x = rhs; see _common_point_system."""
 
     matrix: Matrix
     rhs: tuple
-    column_map: tuple
-    row_map: tuple
+
+
+def _common_point_system(points: PointSequence, groups, columns) -> TverbergSystem:
+    """Affine weights per group, all placing the group's points at one z.
+
+    columns[g] holds the weight column of each position of groups[g]; over
+    all groups they number 0..k-1, and z_1..z_d take columns k..k+d-1.  Each
+    group adds d + 1 rows: sum(alpha_i) = 1, then for t = 1..d
+    sum(alpha_i p_i,t) - z_t = 0, with i over the group.
+    """
+    d = points.dim
+    z0 = sum(len(cols) for cols in columns)
+    rows = []
+    for group, cols in zip(groups, columns):
+        block = [[Fraction(0)] * (z0 + d) for _ in range(d + 1)]
+        for i, c in zip(group, cols):
+            block[0][c] = Fraction(1)
+            for t in range(1, d + 1):
+                block[t][c] = points.entry(t, i)
+        for t in range(1, d + 1):
+            block[t][z0 + t - 1] = Fraction(-1)
+        rows.extend(block)
+    rhs = (Fraction(1),) + (Fraction(0),) * d
+    return TverbergSystem(Matrix(rows), rhs * len(groups))
 
 
 def build_system(points: PointSequence, partition: Partition) -> TverbergSystem:
     """The r(d+1)-square system whose solution is (alpha_1..alpha_n, z_1..z_d).
 
-    Row block of class m demands sum(alpha_i) = 1 and sum(alpha_i p_i) = z
-    over i in the class; the z columns carry -1 so the same z serves every
-    block.  All-positive alphas certify the common point z.
+    Class m's weights sit in the columns of its positions and its rows form
+    block m; all-positive alphas certify the common point z.
     """
     d, n = points.dim, points.length
     r = partition.r
@@ -199,26 +217,8 @@ def build_system(points: PointSequence, partition: Partition) -> TverbergSystem:
         raise DimensionError(
             f"square system needs n = (r-1)(d+1)+1; got n={n}, r={r}, d={d}"
         )
-    size = r * (d + 1)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for m0, cls in enumerate(partition.classes):
-        base = m0 * (d + 1)
-        for i in cls:
-            rows[base][i - 1] = Fraction(1)
-            for t in range(1, d + 1):
-                rows[base + t][i - 1] = points.entry(t, i)
-        for t in range(1, d + 1):
-            rows[base + t][n + t - 1] = Fraction(-1)
-    rhs = tuple(
-        Fraction(1) if t == 0 else Fraction(0)
-        for _ in range(r)
-        for t in range(d + 1)
-    )
-    column_map = tuple(
-        [("alpha", i) for i in range(1, n + 1)] + [("z", t) for t in range(1, d + 1)]
-    )
-    row_map = tuple((m, t) for m in range(1, r + 1) for t in range(d + 1))
-    return TverbergSystem(Matrix(rows), rhs, column_map, row_map)
+    columns = [[i - 1 for i in cls] for cls in partition.classes]
+    return _common_point_system(points, partition.classes, columns)
 
 
 @dataclass(frozen=True)
@@ -305,11 +305,7 @@ def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list
     from .fillings import _dominant_signs  # fillings imports this module
 
     d, n = points.dim, points.length
-    if (n - 1) % (d + 1) != 0:
-        raise DimensionError(f"n={n} fits no class count for d={d}")
-    r = (n - 1) // (d + 1) + 1
-    if r < 2:
-        raise DimensionError(f"n={n} gives a single class; a partition needs r >= 2")
+    r = _class_count(points)
     certificate = _certified_profile(points, r)
     found = []
     for p in enumerate_proper_partitions(n, r, d + 1):
@@ -335,6 +331,17 @@ def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list
         if hit:
             found.append(p)
     return found
+
+
+def _class_count(points: PointSequence) -> int:
+    """The r >= 2 with n = (r-1)(d+1)+1; DimensionError when none fits."""
+    d, n = points.dim, points.length
+    if (n - 1) % (d + 1) != 0:
+        raise DimensionError(f"a {d}-dimensional sequence of length {n} fits no class count")
+    r = (n - 1) // (d + 1) + 1
+    if r < 2:
+        raise DimensionError(f"a sequence of length {n} gives r = {r}; a partition needs at least 2 classes")
+    return r
 
 
 def _certified_profile(points: PointSequence, r: int) -> Optional[tuple]:
@@ -372,36 +379,12 @@ def _hull_dim(points: PointSequence, group: Sequence[int]) -> int:
 
 def _intersection_dim(points: PointSequence, groups: Sequence, hull_dims: Sequence) -> int:
     """affine_intersection_dim on sorted nonempty groups with known hull dimensions."""
-    d = points.dim
-    var_count = sum(len(g) for g in groups) + d
-    offsets = []
-    acc = 0
-    for g in groups:
-        offsets.append(acc)
-        acc += len(g)
-    x_base = acc
-    rows = []
-    rhs_rows = []
-    for g, off in zip(groups, offsets):
-        row = [Fraction(0)] * var_count
-        for k in range(len(g)):
-            row[off + k] = Fraction(1)
-        rows.append(row)
-        rhs_rows.append(Fraction(1))
-        for t in range(1, d + 1):
-            row = [Fraction(0)] * var_count
-            for k, i in enumerate(g):
-                row[off + k] = points.entry(t, i)
-            row[x_base + t - 1] = Fraction(-1)
-            rows.append(row)
-            rhs_rows.append(Fraction(0))
-    coeff_rank = rank(Matrix(rows))
-    augmented = Matrix([row + [b] for row, b in zip(rows, rhs_rows)])
-    if rank(augmented) > coeff_rank:
-        return -1
-    solution_dim = var_count - coeff_rank
+    # Groups may overlap, so each takes its own block of weight columns.
+    ends = accumulate(map(len, groups))
+    columns = [range(end - len(g), end) for g, end in zip(groups, ends)]
+    dim = solution_dim(*_common_point_system(points, groups, columns))
     slack = sum(len(g) - 1 - h for g, h in zip(groups, hull_dims))
-    return solution_dim - slack
+    return -1 if dim == -1 else dim - slack
 
 
 def _disjoint_families(n: int, k: int) -> list:

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import Scalar, ScalarLike, scalar, scalar_str, solve_linear, Matrix
+from .exact import ScalarLike, scalar, scalar_str, solve_linear, Matrix
 
 
 class NotDominantError(ValueError):

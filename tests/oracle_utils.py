@@ -80,6 +80,50 @@ def rank_by_elimination(rows):
     return rank
 
 
+
+def solution_dim_by_ranks(rows, rhs):
+    """Dimension of {x : rows x = rhs} from the coefficient and augmented ranks.
+
+    Returns -1 when the augmented rank is larger, i.e. the set is empty.
+    """
+    coeff = rank_by_elimination(rows)
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if rank_by_elimination(augmented) > coeff:
+        return -1
+    return len(rows[0]) - coeff
+
+
+def affine_intersection_dim_by_ranks(points, groups):
+    """Dimension of the intersection of the groups' affine hulls; -1 if empty.
+
+    points[i - 1] is the coordinate tuple of position i; groups list
+    positions without repeats and may overlap.  Unknowns: one weight per
+    group member, then the shared point x.  Each group contributes
+    sum(w) = 1 and sum(w p) - x = 0.  The intersection dimension is the
+    solution-set dimension minus the slack of weights that describe the same
+    point, sum over groups of (size - 1 - hull dimension).
+    """
+    d = len(points[0])
+    width = sum(len(g) for g in groups) + d
+    rows, rhs = [], []
+    offset = 0
+    for g in groups:
+        rows.append([1 if offset <= j < offset + len(g) else 0 for j in range(width)])
+        rhs.append(1)
+        for t in range(d):
+            row = [0] * width
+            for k, i in enumerate(g):
+                row[offset + k] = points[i - 1][t]
+            row[width - d + t] = -1
+            rows.append(row)
+            rhs.append(0)
+        offset += len(g)
+    dim = solution_dim_by_ranks(rows, rhs)
+    if dim == -1:
+        return -1
+    hull_dims = [rank_by_elimination([[1, *points[i - 1]] for i in g]) - 1 for g in groups]
+    return dim - sum(len(g) - 1 - h for g, h in zip(groups, hull_dims))
+
 def labeled_proper_partitions(n, r, max_size):
     """All ways to split 1..n into r labeled nonempty classes of size <= max_size.
 

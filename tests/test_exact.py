@@ -14,10 +14,17 @@ from tverberg.exact import (
     rank,
     scalar,
     scalar_str,
+    solution_dim,
     solve_linear,
 )
 
-from oracle_utils import det_by_expansion, perm_sign, rank_by_elimination, solve_by_gauss
+from oracle_utils import (
+    det_by_expansion,
+    perm_sign,
+    rank_by_elimination,
+    solution_dim_by_ranks,
+    solve_by_gauss,
+)
 
 small_fraction = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -184,3 +191,51 @@ def test_zero_first_column_and_late_small_entry():
     got = solve_linear(Matrix(rows), rhs)
     assert got == solve_by_gauss(rows, rhs)
     assert Matrix(rows).mul_vec(got) == tuple(Fraction(b) for b in rhs)
+
+
+# solution_dim reads rank and consistency off one pass over [m | b]; the
+# oracle takes the coefficient and the augmented rank separately.
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, expected",
+    [
+        ([[1, 2], [3, 4]], [1, 1], 0),  # square, unique solution
+        ([[1, 2], [2, 4]], [1, 2], 1),  # square, singular, consistent
+        ([[1, 2], [2, 4]], [1, 1], -1),  # square, singular, inconsistent
+        ([[1, 0], [0, 1], [1, 1]], [1, 2, 3], 0),  # tall, consistent
+        ([[1, 0], [0, 1], [1, 1]], [1, 2, 4], -1),  # tall, inconsistent
+        ([[1, 1, 1]], [3], 2),  # wide, one equation
+        ([[1, 0, 2], [0, 1, 3]], [1, 1], 1),  # wide, full row rank
+        ([[1, 2, 3], [2, 4, 6]], [1, 3], -1),  # wide, inconsistent
+        ([[0, 0, 0], [0, 0, 0]], [0, 0], 3),  # zero matrix, zero rhs
+        ([[0, 0, 0], [0, 0, 0]], [0, 1], -1),  # zero matrix, nonzero rhs
+        ([[0]], [5], -1),
+    ],
+)
+def test_solution_dim_frozen_cases(rows, rhs, expected):
+    assert solution_dim_by_ranks(rows, rhs) == expected
+    assert solution_dim(Matrix(rows), rhs) == expected
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+@settings(max_examples=150)
+def test_solution_dim_matches_two_rank_oracle(n_rows, n_cols, consistent, data):
+    # small integers make rank-deficient matrices common
+    entry = st.integers(-2, 2).map(Fraction) | small_fraction
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)
+    )
+    m = Matrix(rows)
+    if consistent:
+        rhs = m.mul_vec(data.draw(st.lists(small_fraction, min_size=n_cols, max_size=n_cols)))
+    else:
+        rhs = data.draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
+    expected = solution_dim_by_ranks(rows, rhs)
+    assert solution_dim(m, rhs) == expected
+    assert expected >= 0 or not consistent
+
+
+def test_solution_dim_rejects_wrong_rhs_length():
+    with pytest.raises(DimensionError):
+        solution_dim(Matrix([[1, 2]]), [1, 2])

@@ -28,7 +28,12 @@ from tverberg.partitions import (
 )
 from tverberg.sequences import PointSequence, gen_moment_curve
 
-from oracle_utils import disjoint_families_by_labeling, labeled_proper_partitions, stirling2
+from oracle_utils import (
+    affine_intersection_dim_by_ranks,
+    disjoint_families_by_labeling,
+    labeled_proper_partitions,
+    stirling2,
+)
 
 
 def radon_line() -> PointSequence:
@@ -151,8 +156,6 @@ def test_build_system_shape_and_layout():
     system = build_system(points, p)
     assert system.matrix.rows == system.matrix.cols == 4
     assert system.rhs == (1, 0, 1, 0)
-    assert system.column_map == (("alpha", 1), ("alpha", 2), ("alpha", 3), ("z", 1))
-    assert system.row_map == ((1, 0), (1, 1), (2, 0), (2, 1))
     expected = Matrix(
         [
             [1, 0, 1, 0],
@@ -373,6 +376,41 @@ def test_affine_intersection_point_on_line():
     assert affine_intersection_dim(far, [[1, 2], [3]]) == -1
 
 
+@st.composite
+def special_point_sets(draw):
+    """Up to 6 small integer points in dimension 1 or 2, often in special position."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 6))
+    coord = st.integers(-3, 3)
+    pts = [tuple(draw(coord) for _ in range(d)) for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "repeated", "collinear", "parallel-secant"]))
+    picks = draw(st.permutations(range(n)))
+    if shape == "repeated" and n >= 2:
+        pts[picks[1]] = pts[picks[0]]
+    elif shape == "collinear" and n >= 3:
+        a, b = pts[picks[0]], pts[picks[1]]
+        for k in picks[2:]:
+            s = draw(st.integers(-2, 2))
+            pts[k] = tuple(x + s * (y - x) for x, y in zip(a, b))
+    elif shape == "parallel-secant" and n >= 4:
+        a, b, c = (pts[k] for k in picks[:3])
+        s = draw(st.sampled_from([1, -1, 2]))
+        pts[picks[3]] = tuple(z + s * (y - x) for x, y, z in zip(a, b, c))
+    return pts
+
+
+@given(special_point_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_affine_intersection_matches_two_rank_oracle(pts, data):
+    n = len(pts)
+    raw = data.draw(
+        st.lists(st.lists(st.integers(1, n), min_size=1, max_size=n), min_size=1, max_size=3)
+    )
+    groups = [sorted(set(g)) for g in raw]  # groups may overlap
+    points = PointSequence([[p[t] for p in pts] for t in range(len(pts[0]))])
+    assert affine_intersection_dim(points, groups) == affine_intersection_dim_by_ranks(pts, groups)
+
+
 def test_disjoint_families_match_labeling_walk():
     def key(family):
         return frozenset(frozenset(g) for g in family)
@@ -410,18 +448,19 @@ def test_moment_curve_strong_general_position_depends_on_parameters():
 def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypatch):
     sup, _ = super_instance(1, 4)
     n = sup.points.length
-    calls = []
-    real = partitions.rank
+    calls = {"rank": 0, "solution_dim": 0}
+    for name in calls:
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+        def counted(*args, name=name, real=getattr(partitions, name)):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(partitions, "rank", counted)
+        monkeypatch.setattr(partitions, name, counted)
     assert is_strong_general_position(sup.points, 4)
     families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
-    # two ranks per family (coefficients, augmented), one per nonempty subset
-    assert len(calls) == 2 * families + 2**n - 1 == 7815
+    # one hull rank per nonempty subset, one elimination of [M | b] per family
+    assert calls["rank"] == 2**n - 1 == 127
+    assert calls["solution_dim"] == families == 3844
 
 
 def test_det_sign_route_columns_match_cramer():

@@ -45,3 +45,20 @@ def test_public_surface_is_pinned():
         elif isinstance(node, ast.Assign):
             bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
     assert {name for name in bound if not name.startswith("_")} == PUBLIC
+
+
+def test_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(INIT.parent.glob("*.py")):
+        if path == INIT:
+            continue  # __init__ imports in order to export
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{path.name}: {name}" for name in sorted(imported - used))
+    assert unused == []
