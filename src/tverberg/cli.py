@@ -10,14 +10,15 @@ not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import scalar_str
+from .exact import _sign, scalar_str
 from .fillings import (
-    InvalidFillingError,
+    _grid_height,
     dominance_report,
     filling_to_json,
     find_dominant_filling,
@@ -26,7 +27,6 @@ from .fillings import (
 )
 from .partitions import (
     CertificateMismatchError,
-    DegeneratePointsError,
     Partition,
     _class_count,
     decide_tverberg,
@@ -141,11 +141,7 @@ def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition]
     else:
         if partition is not None:
             r = partition.r
-            if r < 2:
-                raise InputError(f"a partition needs at least two classes, got {r}")
-            if (partition.n - 1) % (r - 1) != 0:
-                raise InputError("partition size fits no dimension")
-            d = (partition.n - 1) // (r - 1) - 1
+            d = _grid_height(partition) - 1
             if config.d is not None and config.d != d:
                 raise InputError(f"--d {config.d} contradicts the partition (d = {d})")
             if config.r is not None and config.r != r:
@@ -298,13 +294,15 @@ def cmd_dominant(config: argparse.Namespace) -> int:
     for ell in range(1, partition.n + 1):
         filling = find_dominant_filling(partition, ell, profile)
         mono = monomial_value(filling, points, coords)
+        # the sign of the dominant term, which is sign det(M_ell)
+        sign = mono.sign * _sign(mono.value)
         lines.append("")
-        lines.append(f"ell = {ell}  dominant monomial sign {mono.sign:+d}")
+        lines.append(f"ell = {ell}  dominant monomial sign {sign:+d}")
         lines.extend(_grid_lines(filling))
         record = {
             "ell": ell,
             "filling": filling_to_json(filling),
-            "sign": mono.sign,
+            "sign": sign,
         }
         if config.oracle:
             report = dominance_report(points, partition, ell, q, coords)
@@ -429,6 +427,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tverberg",
@@ -456,9 +455,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return ns.handler(ns)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else PASS
-    except (InputError, NotDominantError, DegeneratePointsError, InvalidFillingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except CertificateMismatchError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

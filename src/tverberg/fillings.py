@@ -37,6 +37,16 @@ class InvalidFillingError(ValueError):
     """The grid does not describe a transversal of the class system."""
 
 
+def _grid_height(partition: Partition) -> int:
+    """Rows of the partition's filling grid, (n - 1)/(r - 1), which is d + 1."""
+    n, r = partition.n, partition.r
+    if r < 2:
+        raise InvalidFillingError(f"a partition needs at least two classes, got {r}")
+    if (n - 1) % (r - 1) != 0:
+        raise InvalidFillingError(f"{n} elements in {r} classes fit no grid")
+    return (n - 1) // (r - 1)
+
+
 @dataclass(frozen=True)
 class Filling:
     """One nonzero monomial of det(M_ell), presented as a (d+1) x r grid.
@@ -52,17 +62,14 @@ class Filling:
 
     def __init__(self, partition: Partition, ell: int, grid: Sequence[Sequence]):
         n, r = partition.n, partition.r
-        if r < 2:
-            raise InvalidFillingError("fillings need at least two classes")
+        height = _grid_height(partition)
         if not 1 <= _position(ell) <= n:
             raise InvalidFillingError(f"ell={ell} is not a position in 1..{n}")
         rows = tuple(
             tuple(cell if cell is None else _position(cell) for cell in row) for row in grid
         )
-        if (n - 1) % (r - 1) != 0 or len(rows) != (n - 1) // (r - 1):
-            raise InvalidFillingError(
-                f"grid needs exactly {(n - 1) // (r - 1) if (n - 1) % (r - 1) == 0 else '?'} rows"
-            )
+        if len(rows) != height:
+            raise InvalidFillingError(f"grid needs exactly {height} rows")
         if any(len(row) != r for row in rows):
             raise InvalidFillingError(f"every grid row needs exactly {r} cells")
         for k, row in enumerate(rows):
@@ -147,10 +154,8 @@ def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bo
     lexicographic order; unless increasing_only is set, each pattern further
     expands into all per-column arrangements of its elements.
     """
-    n, r = partition.n, partition.r
-    if r < 2 or (n - 1) % (r - 1) != 0:
-        raise InvalidFillingError("partition shape does not admit a rectangular grid")
-    height = (n - 1) // (r - 1)
+    r = partition.r
+    height = _grid_height(partition)
     members = [sorted(set(cls) - {ell}) for cls in partition.classes]
     need = [height - len(cls) for cls in members]
     if any(z < 0 for z in need):
@@ -449,10 +454,8 @@ def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProf
     one-row bands fix every element's row and park the row's marker in its
     unique empty class.
     """
-    n, r = partition.n, partition.r
-    if r < 2 or (n - 1) % (r - 1) != 0:
-        raise InvalidFillingError("partition shape does not admit a rectangular grid")
-    d = (n - 1) // (r - 1) - 1
+    n = partition.n
+    d = _grid_height(partition) - 1
     if profile.gaps != d:
         raise ValueError(f"profile covers {profile.gaps} gaps, the grid needs {d}")
     if not 1 <= ell <= n:
@@ -487,9 +490,7 @@ def rainbow_filling(partition: Partition, ell: int) -> Filling:
     corresponding overlapping block of the rainbow structure.
     """
     n, r = partition.n, partition.r
-    if (n - 1) % (r - 1) != 0:
-        raise InvalidFillingError("partition shape does not admit a rectangular grid")
-    d = (n - 1) // (r - 1) - 1
+    d = _grid_height(partition) - 1
     if not is_rainbow(partition, d):
         raise InvalidFillingError("rainbow_filling needs a rainbow partition")
     rest = [i for i in range(1, n + 1) if i != ell]

@@ -437,10 +437,6 @@ class DominanceProfile:
     classes: tuple
     kinds: tuple
     order: tuple
-    _rank: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._rank.update({t: pos for pos, t in enumerate(self.order)})
 
     def relation(self, t: int, s: int) -> Relation:
         return self.relations[(t, s)]
@@ -450,15 +446,15 @@ class DominanceProfile:
         items = list(coordinates)
         if not items:
             raise ValueError("max_of needs at least one coordinate")
-        return max(items, key=self._rank.__getitem__)
+        return max(items, key=self.order.index)
 
 
 def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
     """Classify all coordinate pairs and assemble the total dominance order.
 
     Raises NotDominantError if the sequence is not ordered, any pair is
-    inconsistent, similarity fails to be transitive with a uniform kind, or
-    the precedence between similarity classes is not a total order.
+    inconsistent, a pair disagrees with the ranks (the number of coordinates
+    preceding each), or a similarity class mixes left and right kinds.
     """
     threshold = scalar(q)
     gaps = a.dim - 1
@@ -480,61 +476,37 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
                 Relation.RIGHT_SIMILAR: Relation.RIGHT_SIMILAR,
             }[rel]
 
-    # A coordinate's class is itself plus everything similar to it; these
-    # sets partition 1..gaps exactly when similarity is transitive.
-    similar = (Relation.LEFT_SIMILAR, Relation.RIGHT_SIMILAR)
-    class_of = {
-        t: tuple(s for s in range(1, gaps + 1) if s == t or relations[(t, s)] in similar)
-        for t in range(1, gaps + 1)
-    }
-    for t, members in class_of.items():
-        for s in members:
-            if class_of[s] != members:
-                raise NotDominantError(f"similarity is not transitive: classes {members} and {class_of[s]} overlap")
-    classes = list(dict.fromkeys(class_of.values()))
+    # rank(t) counts the coordinates that precede t.  The relations form a
+    # dominance order exactly when every pair agrees with the ranks (equal
+    # ranks are similar, the lower rank precedes) and each rank level has one
+    # kind; the levels, in ascending rank, are then the similarity classes.
+    coords = range(1, gaps + 1)
+    rank = {t: sum(relations[(s, t)] is Relation.PRECEDES for s in coords if s != t) for t in coords}
+    for t, s in combinations(coords, 2):
+        rel = relations[(t, s)]
+        if rank[t] == rank[s]:
+            agrees = rel in (Relation.LEFT_SIMILAR, Relation.RIGHT_SIMILAR)
+        else:
+            agrees = rel is (Relation.PRECEDES if rank[t] < rank[s] else Relation.SUCCEEDED_BY)
+        if not agrees:
+            raise NotDominantError(
+                f"coordinates ({t}, {s}) break the dominance order: {rel.value} at ranks {rank[t]} and {rank[s]}"
+            )
+    classes = tuple(tuple(t for t in coords if rank[t] == level) for level in sorted(set(rank.values())))
     kinds = []
+    order = []
     for members in classes:
         found = {relations[pair] for pair in combinations(members, 2)}
         if len(found) > 1:
             raise NotDominantError(f"similarity class {members} mixes kinds")
-        kinds.append(found.pop() if found else None)
-
-    # Precedence between classes must be total and consistent.
-    def class_precedes(members_a, members_b) -> bool:
-        verdicts = {relations[(t, s)] for t in members_a for s in members_b}
-        if verdicts == {Relation.PRECEDES}:
-            return True
-        if verdicts == {Relation.SUCCEEDED_BY}:
-            return False
-        raise NotDominantError(
-            f"classes {members_a} and {members_b} do not compare consistently"
-        )
-
-    scored = []
-    for idx, members in enumerate(classes):
-        score = sum(
-            class_precedes(other, members)
-            for j, other in enumerate(classes)
-            if j != idx
-        )
-        scored.append((score, idx))
-    scored.sort()
-    if [score for score, _ in scored] != list(range(len(classes))):
-        raise NotDominantError("class precedence is not a total order")
-    ordered_classes = []
-    ordered_kinds = []
-    order = []
-    for _, idx in scored:
-        members, kind = classes[idx], kinds[idx]
-        ordered_classes.append(members)
-        ordered_kinds.append(kind)
-        block = sorted(members, reverse=(kind is Relation.LEFT_SIMILAR))
-        order.extend(block)
+        kind = found.pop() if found else None
+        kinds.append(kind)
+        order.extend(sorted(members, reverse=(kind is Relation.LEFT_SIMILAR)))
     return DominanceProfile(
         gaps=gaps,
         relations=relations,
-        classes=tuple(ordered_classes),
-        kinds=tuple(ordered_kinds),
+        classes=classes,
+        kinds=tuple(kinds),
         order=tuple(order),
     )
 

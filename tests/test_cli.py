@@ -9,7 +9,9 @@ import pytest
 
 from tverberg import cli, partitions
 from tverberg.cli import build_parser, main
-from tverberg.sequences import sequence_from_json
+from tverberg.exact import det_sign
+from tverberg.partitions import build_system, enumerate_proper_partitions, partition_to_json
+from tverberg.sequences import gen_super_dominant, sequence_from_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -193,6 +195,19 @@ def test_dominant_grid_matches_rainbow_layout(capsys, tmp_path):
     assert "z0" in out and "z1" in out
 
 
+@pytest.mark.parametrize("d, r", [(1, 3), (3, 2)])
+def test_dominant_sign_is_the_determinant_sign(capsys, tmp_path, d, r):
+    # On odd d the transversal parity alone is the opposite of sign det(M_ell).
+    points = gen_super_dominant(d, r).points
+    n = points.length
+    for partition in enumerate_proper_partitions(n, r, d + 1):
+        part = write_json(tmp_path / "p.json", partition_to_json(partition))
+        assert main(["dominant", "--partition", part, "--json"]) == 0
+        signs = [rec["sign"] for rec in json.loads(capsys.readouterr().out)["ells"]]
+        system = build_system(points, partition)
+        assert signs == [det_sign(system.matrix.with_column(col, system.rhs)) for col in range(n)]
+
+
 def test_dominant_rejects_slow_sequence(capsys, tmp_path):
     seq = write_json(
         tmp_path / "slow.json",
@@ -322,6 +337,22 @@ def test_boolean_sequence_entry_exits_two(capsys, tmp_path, good_partition):
     seq = write_json(tmp_path / "bool.json", {"d": 1, "n": 3, "points": [["1"], ["2"], [True]]})
     assert main(["check", "--seq", seq, "--partition", good_partition]) == 2
     assert "bad sequence file" in capsys.readouterr().err
+
+
+def test_consecutive_calls_do_not_share_flags(capsys, tmp_path, line_seq, good_partition):
+    check = ["check", "--seq", line_seq, "--partition", good_partition]
+    assert main([*check, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_tverberg"] is True
+    assert main(check) == 0
+    assert capsys.readouterr().out.startswith("verdict: TVERBERG")
+    out = tmp_path / "out.txt"
+    assert main([*check, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().startswith("verdict: TVERBERG")
+    out.unlink()
+    assert main(check) == 0
+    assert capsys.readouterr().out.startswith("verdict: TVERBERG")
+    assert not out.exists()
 
 
 def test_one_class_partition_exits_two(capsys, tmp_path):

@@ -657,3 +657,21 @@ def test_filling_validation_errors():
                       (1.0, [[None, 2], [3, None]]), (True, [[None, 2], [3, None]])):
         with pytest.raises(ValueError):
             Filling(p, ell, grid)
+
+
+def test_shape_without_grid_is_one_error_everywhere(super_instance):
+    # 4 elements in 3 classes: (n - 1)/(r - 1) = 3/2 rows
+    p = Partition(4, [[1, 2], [3], [4]])
+    _, profile = super_instance(1, 3)
+    calls = [
+        lambda: Filling(p, 1, [[None, 3, 4], [2, None, None]]),
+        lambda: enumerate_valid_fillings(p, 1),
+        lambda: find_dominant_filling(p, 1, profile),
+        lambda: rainbow_filling(p, 1),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(InvalidFillingError) as caught:
+            call()
+        messages.add(str(caught.value))
+    assert messages == {"4 elements in 3 classes fit no grid"}

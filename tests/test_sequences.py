@@ -1,4 +1,5 @@
 """Growth ratios, pair classification, dominance profiles, generators."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -294,9 +295,9 @@ P, S, L, R = (
 )
 
 
-def profile_from_relations(monkeypatch, table):
+def profile_from_relations(monkeypatch, table, gaps=None):
     """dominance_profile of an ordered chain whose pairs t < s classify as table[(t, s)]."""
-    gaps = max(s for _, s in table)
+    gaps = gaps or max(s for _, s in table)
     monkeypatch.setattr(sequences, "classify_pair", lambda a, q, t, s, _table=None: table[(t, s)])
     return dominance_profile(gen_power_sequence(2, chain_exponents(gaps + 1, 4, 2, 3)), 3)
 
@@ -304,16 +305,55 @@ def profile_from_relations(monkeypatch, table):
 @pytest.mark.parametrize(
     "table, reason",
     [
-        ({(1, 2): R, (1, 3): P, (2, 3): R}, "not transitive"),
+        ({(1, 2): R, (1, 3): P, (2, 3): R}, r"\(2, 3\) break the dominance order"),
         ({(1, 2): L, (1, 3): R, (2, 3): L}, "mixes kinds"),
-        ({(1, 2): R, (1, 3): P, (2, 3): S}, "do not compare consistently"),
-        ({(1, 2): P, (1, 3): S, (2, 3): P}, "not a total order"),
+        ({(1, 2): R, (1, 3): P, (2, 3): S}, r"\(1, 2\) break the dominance order"),
+        ({(1, 2): P, (1, 3): S, (2, 3): P}, r"\(1, 2\) break the dominance order"),
+    ],
+    # each id names the condition its table breaks
+    ids=[
+        "table0-not transitive",
+        "table1-mixes kinds",
+        "table2-do not compare consistently",
+        "table3-not a total order",
     ],
 )
 def test_profile_rejects_structural_failures(monkeypatch, table, reason):
     # each table breaks exactly one condition of a dominance profile
     with pytest.raises(NotDominantError, match=reason):
         profile_from_relations(monkeypatch, table)
+
+
+def test_profile_accepts_exactly_the_ordered_class_tables(monkeypatch):
+    # A table is a dominance order exactly when an ordered set partition of
+    # the gaps, with a kind per class of two or more, generates it.
+    accepted = 0
+    for gaps in range(1, 5):
+        pairs = list(itertools.combinations(range(1, gaps + 1), 2))
+        expected = {}
+        for labels in itertools.product(range(gaps), repeat=gaps):
+            if set(labels) != set(range(max(labels) + 1)):
+                continue
+            classes = tuple(
+                tuple(t for t in range(1, gaps + 1) if labels[t - 1] == c) for c in range(max(labels) + 1)
+            )
+            for kinds in itertools.product(*([L, R] if len(c) > 1 else [None] for c in classes)):
+                kind_of = {t: kind for c, kind in zip(classes, kinds) for t in c}
+                table = tuple(
+                    kind_of[t] if labels[t - 1] == labels[s - 1] else P if labels[t - 1] < labels[s - 1] else S
+                    for t, s in pairs
+                )
+                order = sum((tuple(sorted(c, reverse=k is L)) for c, k in zip(classes, kinds)), ())
+                expected[table] = (classes, kinds, order)
+        for table in itertools.product([P, S, L, R], repeat=len(pairs)):
+            if table in expected:
+                profile = profile_from_relations(monkeypatch, dict(zip(pairs, table)), gaps)
+                assert (profile.classes, profile.kinds, profile.order) == expected[table]
+                accepted += 1
+            else:
+                with pytest.raises(NotDominantError):
+                    profile_from_relations(monkeypatch, dict(zip(pairs, table)), gaps)
+    assert accepted == 163
 
 
 def test_profile_orders_left_and_right_similar_classes(monkeypatch):
