@@ -178,6 +178,8 @@ def cmd_gen(config: argparse.Namespace) -> int:
     base = config.base if config.base is not None else DEFAULT_BASE
     if config.schedule == "chain":
         points = gen_super_dominant(config.d, config.r, config.q, base).points
+    elif config.q is not None:
+        raise InputError("--q applies to --schedule chain only, not to uniform")
     else:
         points = gen_power_sequence(base, uniform_exponents(config.d, n))
     payload = sequence_to_json(points)

@@ -19,7 +19,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _bigint = int
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 

@@ -26,7 +26,6 @@ from .partitions import (
     _position,
     build_system,
     is_rainbow,
-    partition_from_json,
     partition_to_json,
     tverberg_number,
 )
@@ -98,14 +97,6 @@ class Filling:
     def z_columns(self) -> tuple:
         """Per grid row, the 1-based class column holding that row's marker."""
         return tuple(row.index(None) + 1 for row in self.grid)
-
-    @property
-    def z_counts(self) -> tuple:
-        """Per class column, how many markers it carries."""
-        counts = [0] * self.r
-        for row in self.grid:
-            counts[row.index(None)] += 1
-        return tuple(counts)
 
     @property
     def is_column_increasing(self) -> bool:
@@ -284,26 +275,6 @@ def _switch_columns(filling: Filling, s: int, t: int) -> tuple:
     return alpha, beta
 
 
-def z_switch(filling: Filling, s: int, t: int, alpha: int, beta: int) -> Filling:
-    """Swap the markers of rows s and t between columns alpha and beta.
-
-    Requires a column-increasing filling with row s's marker in column alpha
-    and row t's in column beta; the two columns re-sort so the result is
-    column-increasing again.  Applying the same switch twice restores the
-    original filling.
-    """
-    found_alpha, found_beta = _switch_columns(filling, s, t)
-    if (alpha, beta) != (found_alpha, found_beta):
-        raise InvalidFillingError(
-            f"markers of rows {s},{t} sit in columns {found_alpha},{found_beta}"
-        )
-    if not filling.is_column_increasing:
-        raise InvalidFillingError("z-switches are defined on column-increasing fillings")
-    zcols = list(filling.z_columns)
-    zcols[s], zcols[t] = beta, alpha
-    return canonical_filling(filling.partition, filling.ell, zcols)
-
-
 def crossing_pairs(filling: Filling, s: int, t: int) -> tuple:
     """The (gap, i, j) triples priced into the ratio of a z-switch.
 
@@ -325,32 +296,13 @@ def crossing_pairs(filling: Filling, s: int, t: int) -> tuple:
     return tuple(triples)
 
 
-def switch_ratio(filling: Filling, points: PointSequence, s: int, t: int, row_coords=None) -> Fraction:
+def switch_ratio(filling: Filling, points: PointSequence, s: int, t: int) -> Fraction:
     """Exact value ratio w''/w of the z-switch between marker rows s and t."""
-    coords = _check_row_coords(filling, row_coords)
     lifted = lift(points)
-    ordered = PointSequence([lifted.rows[c] for c in coords])
     ratio = Fraction(1)
     for u, i_u, j_u in crossing_pairs(filling, s, t):
-        ratio *= growth_ratio(ordered, u, i_u, j_u)
+        ratio *= growth_ratio(lifted, u, i_u, j_u)
     return ratio
-
-
-def find_dominating_switch(filling: Filling, points: PointSequence, q, row_coords=None) -> Optional[tuple]:
-    """First z-switch whose result dominates this filling, if one exists.
-
-    Scans marker-row pairs in ascending order and compares the exact value
-    ratio against q; returns (s, t, alpha, beta) or None.
-    """
-    threshold = scalar(q)
-    zcols = filling.z_columns
-    for s in range(filling.d + 1):
-        for t in range(s + 1, filling.d + 1):
-            if zcols[s] == zcols[t]:
-                continue
-            if switch_ratio(filling, points, s, t, row_coords) > threshold:
-                return (s, t, zcols[s], zcols[t])
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -479,28 +431,6 @@ def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProf
         solve(tau, hi, y_by_class)
 
     solve(0, d, tuple(tuple(sorted(set(cls) - {ell})) for cls in partition.classes))
-    return Filling(partition, ell, grid)
-
-
-def rainbow_filling(partition: Partition, ell: int) -> Filling:
-    """Dominant filling of a rainbow partition, by consecutive chunks.
-
-    Row s takes the s-th run of r-1 consecutive remaining positions; its
-    marker goes to the one class the run misses.  Each run stays inside the
-    corresponding overlapping block of the rainbow structure.
-    """
-    n, r = partition.n, partition.r
-    d = _grid_height(partition) - 1
-    if not is_rainbow(partition, d):
-        raise InvalidFillingError("rainbow_filling needs a rainbow partition")
-    rest = [i for i in range(1, n + 1) if i != ell]
-    grid = []
-    for s in range(d + 1):
-        chunk = rest[s * (r - 1):(s + 1) * (r - 1)]
-        row = [None] * r
-        for e in chunk:
-            row[partition.class_of(e) - 1] = e
-        grid.append(row)
     return Filling(partition, ell, grid)
 
 
@@ -643,24 +573,3 @@ def filling_to_json(filling: Filling) -> dict:
         "partition": partition_to_json(filling.partition),
         "grid": grid,
     }
-
-
-def filling_from_json(payload: dict) -> Filling:
-    try:
-        partition = partition_from_json(payload["partition"])
-        ell = payload["ell"]
-        raw = payload["grid"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("filling payload needs keys 'ell', 'partition', 'grid'") from exc
-    grid = []
-    for k, row in enumerate(raw):
-        cells = []
-        for cell in row:
-            if cell == f"z{k}":
-                cells.append(None)
-            elif isinstance(cell, str):
-                raise ValueError(f"row {k} may only carry the marker 'z{k}', got {cell!r}")
-            else:
-                cells.append(cell)
-        grid.append(cells)
-    return Filling(partition, ell, grid)

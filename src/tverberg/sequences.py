@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import ScalarLike, scalar, scalar_str, solve_linear, Matrix
 
@@ -123,6 +123,9 @@ def sequence_from_json(payload: dict) -> PointSequence:
         d, n, cols = payload["d"], payload["n"], payload["points"]
     except (KeyError, TypeError) as exc:
         raise ValueError("sequence payload needs keys 'd', 'n', 'points'") from exc
+    for key, value in (("d", d), ("n", n)):
+        if type(value) is not int:
+            raise ValueError(f"'{key}' must be a plain integer, got {value!r}")
     if len(cols) != n or any(len(col) != d for col in cols):
         raise ValueError("sequence payload shape does not match its declared d and n")
     return PointSequence([[scalar(col[t]) for col in cols] for t in range(d)])
@@ -276,11 +279,6 @@ def _outgrowth_counts(a: PointSequence, q: ScalarLike) -> Optional[list]:
         counts[t] += up
         counts[s] += down
     return counts
-
-
-def is_pseudo_geometric(a: PointSequence, q: ScalarLike) -> bool:
-    """Every pair of coordinate rows has a q-increasing ratio in one direction."""
-    return _outgrowth_counts(a, q) is not None
 
 
 def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
@@ -688,62 +686,3 @@ def verify_pinned_combination(
             if not (slack * own < own - neighbours <= value < own):
                 violations.append(f"bound: coordinate {t}, position {i}")
     return PinnedCombinationReport(combination=b, violations=tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# monochromatic search
-
-
-def monochromatic_subsequence(
-    n_target: int,
-    arity: int,
-    coloring: Callable,
-    universe: int,
-) -> Optional[list]:
-    """First (lexicographically) n_target indices in 1..universe all of whose
-    arity-subsets share one color, or None when no such subsequence exists.
-
-    The coloring is called on strictly increasing index tuples; returned
-    colors only need to support equality.
-    """
-    if n_target < 0 or arity < 1:
-        raise ValueError("target length must be >= 0 and arity >= 1")
-    if universe < n_target:
-        raise ValueError("universe is smaller than the target length")
-    if n_target == 0:
-        return []
-    chosen: list = []
-    state = {"color": None, "fixed_at": None}
-
-    def admissible(candidate: int) -> bool:
-        if len(chosen) + 1 < arity:
-            return True
-        for head in combinations(chosen, arity - 1):
-            color = coloring(tuple(head) + (candidate,))
-            if state["color"] is None:
-                state["color"] = color
-                state["fixed_at"] = (len(chosen), candidate)
-            elif color != state["color"]:
-                return False
-        return True
-
-    def reset_if_fixed_here(candidate: int):
-        if state["fixed_at"] == (len(chosen), candidate):
-            state["color"] = None
-            state["fixed_at"] = None
-
-    def extend(start: int) -> bool:
-        if len(chosen) == n_target:
-            return True
-        for candidate in range(start, universe + 1):
-            if universe - candidate + 1 < n_target - len(chosen):
-                return False
-            if admissible(candidate):
-                chosen.append(candidate)
-                if extend(candidate + 1):
-                    return True
-                chosen.pop()
-            reset_if_fixed_here(candidate)
-        return False
-
-    return chosen if extend(1) else None

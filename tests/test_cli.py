@@ -127,6 +127,14 @@ def test_gen_uniform_schedule(capsys):
     assert points.entry(2, 2) == 81
 
 
+def test_gen_uniform_schedule_rejects_q(capsys):
+    # The uniform schedule reads no threshold, so --q would go unused.
+    assert main(["gen", "--d", "1", "--r", "2", "--schedule", "uniform", "--q", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--q" in captured.err.strip().splitlines()[-1]
+
+
 def test_enumerate_lists_the_single_partition(capsys, line_seq):
     assert main(["enumerate", "--seq", line_seq]) == 0
     out = capsys.readouterr().out
@@ -337,6 +345,20 @@ def test_boolean_sequence_entry_exits_two(capsys, tmp_path, good_partition):
     seq = write_json(tmp_path / "bool.json", {"d": 1, "n": 3, "points": [["1"], ["2"], [True]]})
     assert main(["check", "--seq", seq, "--partition", good_partition]) == 2
     assert "bad sequence file" in capsys.readouterr().err
+
+
+def test_non_integer_sequence_shape_exits_two(capsys, tmp_path, good_partition):
+    points = [["1"], ["2"], ["5"]]
+    for key, payload in (("d", {"d": True, "n": 3, "points": points}),
+                         ("n", {"d": 1, "n": 3.0, "points": points})):
+        seq = write_json(tmp_path / f"{key}.json", payload)
+        for argv in (["enumerate", "--seq", seq],
+                     ["check", "--seq", seq, "--partition", good_partition],
+                     ["verify-universality", "--seq", seq]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"'{key}' must be a plain integer" in captured.err
 
 
 def test_consecutive_calls_do_not_share_flags(capsys, tmp_path, line_seq, good_partition):

@@ -21,15 +21,11 @@ from tverberg.fillings import (
     dominance_report,
     dominant_split,
     enumerate_valid_fillings,
-    filling_from_json,
     filling_to_json,
     find_dominant_filling,
-    find_dominating_switch,
     monomial_value,
-    rainbow_filling,
     sign_flip_witness,
     switch_ratio,
-    z_switch,
 )
 from tverberg.partitions import (
     Partition,
@@ -39,6 +35,7 @@ from tverberg.partitions import (
     enumerate_proper_partitions,
     enumerate_rainbow,
     is_rainbow,
+    partition_to_json,
 )
 from tverberg.sequences import (
     PointSequence,
@@ -244,27 +241,14 @@ def all_switch_sites(filling):
                 yield s, t, zcols[s], zcols[t]
 
 
-def test_z_switch_involution_and_preconditions(super_instance):
-    sup, _ = super_instance(1, 3)
-    p = Partition(5, [[3], [1, 2], [4, 5]])
-    for f in enumerate_valid_fillings(p, 2, increasing_only=True):
-        for s, t, alpha, beta in all_switch_sites(f):
-            switched = z_switch(f, s, t, alpha, beta)
-            assert switched.is_column_increasing
-            assert z_switch(switched, s, t, beta, alpha) == f
-    f = enumerate_valid_fillings(p, 2, increasing_only=True)[0]
-    zc = f.z_columns
-    with pytest.raises(InvalidFillingError):
-        z_switch(f, 1, 0, zc[1], zc[0])
-    with pytest.raises(InvalidFillingError):
-        z_switch(f, 0, 1, zc[0] % 3 + 1, zc[1])
-
-
-def test_z_switch_rejects_same_column_and_disordered_grids():
+def test_crossing_pairs_rejects_same_column_and_disordered_grids():
     p = Partition(3, [[1, 2], [3]])
     f = canonical_filling(p, 3, [2, 2])
     with pytest.raises(InvalidFillingError):
-        z_switch(f, 0, 1, 2, 2)
+        crossing_pairs(f, 0, 1)
+    g = canonical_filling(p, 1, [1, 2])
+    with pytest.raises(InvalidFillingError):
+        crossing_pairs(g, 1, 0)
     disordered = Filling(Partition(3, [[2, 3], [1]]), 1, [[3, None], [2, None]])
 
     assert not disordered.is_column_increasing
@@ -283,7 +267,9 @@ def test_switch_ratio_equals_monomial_quotient(super_instance, d, r):
                 base = monomial_value(f, sup.points)
                 for s, t, alpha, beta in all_switch_sites(f):
                     ratio = switch_ratio(f, sup.points, s, t)
-                    other = monomial_value(z_switch(f, s, t, alpha, beta), sup.points)
+                    zcols = list(f.z_columns)
+                    zcols[s], zcols[t] = beta, alpha
+                    other = monomial_value(canonical_filling(partition, ell, zcols), sup.points)
                     assert other.value / base.value == ratio
                     assert ratio > 0
                     checked += 1
@@ -341,9 +327,10 @@ def test_one_of_two_distinct_fillings_admits_a_dominating_switch(super_instance,
         for ell in ells:
             increasing = enumerate_valid_fillings(partition, ell, increasing_only=True)
             for f, g in itertools.combinations(increasing, 2):
-                assert (
-                    find_dominating_switch(f, sup.points, sup.q) is not None
-                    or find_dominating_switch(g, sup.points, sup.q) is not None
+                assert any(
+                    switch_ratio(h, sup.points, s, t) > sup.q
+                    for h in (f, g)
+                    for s, t, *_ in all_switch_sites(h)
                 )
 
 
@@ -354,7 +341,6 @@ def test_dominant_filling_admits_no_dominating_switch(super_instance, d, r):
     for partition in enumerate_proper_partitions(n, r, d + 1):
         for ell in range(1, n + 1):
             dom = find_dominant_filling(partition, ell, profile)
-            assert find_dominating_switch(dom, sup.points, sup.q) is None
             for s, t, *_ in all_switch_sites(dom):
                 assert switch_ratio(dom, sup.points, s, t) < 1 / sup.q
 
@@ -458,34 +444,28 @@ def test_dominant_split_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# rainbow fillings
+# rainbow partitions
 
 
-def test_rainbow_filling_frozen_example():
-    p = Partition(3, [[2], [1, 3]])
-    f = rainbow_filling(p, 1)
-    assert f.grid == ((2, None), (None, 3))
-    assert f.z_columns == (2, 1)
-
-
-@pytest.mark.parametrize("d, r", [(1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("d, r", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_rainbow_filling_matches_dominant_and_stays_in_blocks(super_instance, d, r):
+    # On a rainbow partition the dominant filling goes by consecutive chunks:
+    # row s holds the s-th run of r - 1 positions other than ell, each in its
+    # own class column, with the marker in the one class the run misses.
     sup, profile = super_instance(d, r)
     n = sup.points.length
     windows = blocks(d, r)
     for partition in enumerate_rainbow(d, r):
         for ell in range(1, n + 1):
-            f = rainbow_filling(partition, ell)
-            assert f.is_column_increasing
-            assert f == find_dominant_filling(partition, ell, profile)
+            f = find_dominant_filling(partition, ell, profile)
+            rest = [i for i in range(1, n + 1) if i != ell]
             for s in range(d + 1):
-                row_elements = [cell for cell in f.grid[s] if cell is not None]
-                assert set(row_elements) <= set(windows[s])
-
-
-def test_rainbow_filling_rejects_non_rainbow():
-    with pytest.raises(InvalidFillingError):
-        rainbow_filling(Partition(5, [[1, 2], [3, 4], [5]]), 1)
+                chunk = rest[s * (r - 1):(s + 1) * (r - 1)]
+                row = [None] * r
+                for e in chunk:
+                    row[partition.class_of(e) - 1] = e
+                assert f.grid[s] == tuple(row)
+                assert set(chunk) <= set(windows[s])
 
 
 # ---------------------------------------------------------------------------
@@ -617,26 +597,14 @@ sys.exit(0 if first() is None else 1)
 
 def test_filling_json_round_trip(super_instance):
     _, profile = super_instance(1, 3)
-    f = find_dominant_filling(Partition(5, [[3], [1, 2], [4, 5]]), 2, profile)
-    payload = filling_to_json(f)
-    assert payload["grid"][0][0] == "z0"
-    assert filling_from_json(payload) == f
-
-
-def test_filling_json_rejects_bad_markers():
-    p = Partition(3, [[1, 3], [2]])
-    payload = filling_to_json(canonical_filling(p, 1, [1, 2]))
-    payload["grid"][0][0] = "z1"
-    with pytest.raises(ValueError):
-        filling_from_json(payload)
-    with pytest.raises(ValueError):
-        filling_from_json({"ell": 1})
-    good = filling_to_json(canonical_filling(p, 1, [1, 2]))
-    for ell in (1.7, True, "1"):
-        with pytest.raises(ValueError):
-            filling_from_json({**good, "ell": ell})
-    with pytest.raises(ValueError):
-        filling_from_json({**good, "grid": [["z0", 2.5], [3.5, "z1"]]})
+    p = Partition(5, [[3], [1, 2], [4, 5]])
+    f = find_dominant_filling(p, 2, profile)
+    assert f.grid == ((None, 1, 4), (3, None, 5))
+    assert filling_to_json(f) == {
+        "ell": 2,
+        "partition": partition_to_json(p),
+        "grid": [["z0", 1, 4], [3, "z1", 5]],
+    }
 
 
 def test_filling_validation_errors():
@@ -667,7 +635,6 @@ def test_shape_without_grid_is_one_error_everywhere(super_instance):
         lambda: Filling(p, 1, [[None, 3, 4], [2, None, None]]),
         lambda: enumerate_valid_fillings(p, 1),
         lambda: find_dominant_filling(p, 1, profile),
-        lambda: rainbow_filling(p, 1),
     ]
     messages = set()
     for call in calls:

@@ -22,9 +22,7 @@ from tverberg.sequences import (
     growth_ratio,
     is_dominant,
     is_ordered,
-    is_pseudo_geometric,
     lift,
-    monochromatic_subsequence,
     order_permutation,
     ordered_lift,
     sequence_from_json,
@@ -160,10 +158,10 @@ def test_growth_ratio_frozen():
 def test_is_ordered_and_pseudo_geometric():
     a = gen_power_sequence(2, chain_exponents(3, 5, 2, 3))
     assert is_ordered(a, 3)
-    assert is_pseudo_geometric(a, 3)
+    assert order_permutation(a, 3) == (1, 2, 3)
     shuffled = PointSequence([a.rows[2], a.rows[0], a.rows[1]])
     assert not is_ordered(shuffled, 3)
-    assert is_pseudo_geometric(shuffled, 3)
+    assert order_permutation(shuffled, 3) == (2, 3, 1)
 
 
 def test_order_permutation_identity_on_ordered_input():
@@ -466,43 +464,6 @@ def test_pinned_combination_alternating_signs():
 
 
 # ---------------------------------------------------------------------------
-# monochromatic search
-
-
-def test_monochromatic_pairs_by_parity():
-    colored = monochromatic_subsequence(3, 2, lambda t: sum(t) % 2, 5)
-    assert colored == [1, 3, 5]
-
-
-def test_monochromatic_unreachable_returns_none():
-    assert monochromatic_subsequence(3, 2, lambda t: sum(t) % 2, 4) is None
-
-
-def test_monochromatic_arity_one():
-    assert monochromatic_subsequence(2, 1, lambda t: t[0] > 2, 5) == [1, 2]
-    assert monochromatic_subsequence(3, 1, lambda t: t[0] > 2, 5) == [3, 4, 5]
-
-
-def test_monochromatic_trivial_cases():
-    assert monochromatic_subsequence(0, 2, lambda t: 0, 3) == []
-    assert monochromatic_subsequence(2, 3, lambda t: 0, 2) == [1, 2]
-
-
-def test_monochromatic_orientation_coloring():
-    # moment-curve triples are always positively oriented, so the greedy
-    # prefix is already monochromatic
-    from tverberg.exact import Matrix, det_sign
-
-    curve = gen_moment_curve(2, [1, 2, 3, 4, 5])
-
-    def orientation(triple):
-        rows = [[1] + list(curve.point(i)) for i in triple]
-        return det_sign(Matrix(rows))
-
-    assert monochromatic_subsequence(4, 3, orientation, 5) == [1, 2, 3, 4]
-
-
-# ---------------------------------------------------------------------------
 # exponent tables: power sequences compare growth on integer exponents
 
 
@@ -597,7 +558,7 @@ def growth_outcomes(a, q):
             return got.classes, got.kinds, got.order, got.relations
         return got
 
-    predicates = [is_ordered, is_pseudo_geometric, order_permutation, dominance_profile, is_dominant]
+    predicates = [is_ordered, sequences._outgrowth_counts, order_permutation, dominance_profile, is_dominant]
     found = [outcome(lambda: predicate(a, q)) for predicate in predicates]
     if a.dim >= 3:
         found.append(outcome(lambda: classify_pair(a, q, 1, 2)))
