@@ -41,11 +41,10 @@ from .partitions import (
 from .sequences import (
     NotDominantError,
     PointSequence,
+    _certified_profile,
     default_threshold,
-    dominance_profile,
     gen_power_sequence,
     gen_super_dominant,
-    ordered_lift,
     sequence_from_json,
     sequence_to_json,
     uniform_exponents,
@@ -163,8 +162,7 @@ def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition]
 
 def _profile_for(points: PointSequence, q: Fraction):
     try:
-        ordered, coords = ordered_lift(points, q)
-        return dominance_profile(ordered, q), coords
+        return _certified_profile(points, q)
     except NotDominantError as exc:
         raise InputError(f"sequence not dominant: {exc}") from exc
 
@@ -193,6 +191,11 @@ def cmd_check(config: argparse.Namespace) -> int:
     if partition.n != points.length:
         raise InputError(
             f"partition covers {partition.n} elements but the sequence has {points.length}"
+        )
+    r = _class_count(points)
+    if partition.r != r:
+        raise InputError(
+            f"the sequence shape expects a partition into r = {r} classes, got {partition.r}"
         )
     verdict = decide_tverberg(points, partition)
     lines = []

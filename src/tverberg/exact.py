@@ -67,14 +67,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, i: int) -> tuple:
         return self._cells[i]
 
@@ -94,9 +86,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._cells)
 
     def with_column(self, j: int, column: Sequence[ScalarLike]) -> "Matrix":
         """A copy with column j replaced."""

@@ -306,7 +306,7 @@ def switch_ratio(filling: Filling, points: PointSequence, s: int, t: int) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# the three-step split and the dominant filling
+# the threshold split and the dominant filling
 
 
 def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tuple:
@@ -349,11 +349,21 @@ def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tu
 def dominant_split(elements_by_class, h_top: int, h_bot: int) -> tuple:
     """Split class traces into a top and bottom band; return (x_by_class, y_by_class).
 
-    Starts from the plain size split (smallest h_top*(r-1) elements on top),
-    then returns per-class overflow to the other side, then migrates the
-    largest pushable element down (or the smallest up) one at a time until
-    the top side has exactly h_top*(r-1) elements.  The result satisfies all
-    four split conditions.
+    Each class puts on top the prefix of its sorted trace that lies below one
+    common threshold, with that count clamped to [max(0, |C_m| - h_bot),
+    min(h_top, |C_m|)]; the threshold rises one element at a time until the
+    top side holds h_top*(r-1) elements.  It gets there: the clamped totals
+    start at most and end at least h_top*(r-1) (no class exceeds
+    h_top + h_bot), and each step adds 0 or 1.
+
+    The cut meets the four split conditions: (a), (b) and (d) by
+    construction, and (c) because a class with room on top puts nothing
+    below the threshold at the bottom, and a class with room at the bottom
+    puts nothing above it on top.  It is the only prefix cut that does:
+    were a != a' two passing cuts, with a_alpha < a'_alpha and
+    a_beta > a'_beta, condition (c) on each would give
+    C_alpha[a_alpha] <= C_alpha[a'_alpha - 1] < C_beta[a'_beta]
+    <= C_beta[a_beta - 1] < C_alpha[a_alpha].
     """
     classes = [tuple(sorted(cls)) for cls in elements_by_class]
     r = len(classes)
@@ -361,41 +371,25 @@ def dominant_split(elements_by_class, h_top: int, h_bot: int) -> tuple:
         raise ValueError("need at least two classes and nonempty bands")
     if any(len(cls) > h_top + h_bot for cls in classes):
         raise ValueError("a class exceeds the band capacity")
-    universe = sorted(e for cls in classes for e in cls)
-    if len(universe) != (h_top + h_bot) * (r - 1) or len(set(universe)) != len(universe):
+    universe = sorted((e, m) for m, cls in enumerate(classes) for e in cls)
+    if len(universe) != (h_top + h_bot) * (r - 1) or len({e for e, _ in universe}) != len(universe):
         raise ValueError(f"band must hold exactly {(h_top + h_bot) * (r - 1)} distinct elements")
 
     target = h_top * (r - 1)
-    cut = set(universe[:target])
-    x = [tuple(e for e in cls if e in cut) for cls in classes]
-    y = [tuple(e for e in cls if e not in cut) for cls in classes]
-
-    for m in range(r):
-        if len(x[m]) > h_top:
-            x[m], y[m] = x[m][:h_top], tuple(sorted(x[m][h_top:] + y[m]))
-        elif len(y[m]) > h_bot:
-            x[m], y[m] = tuple(sorted(x[m] + y[m][:-h_bot])), y[m][-h_bot:]
-
-    def size_x() -> int:
-        return sum(len(cls) for cls in x)
-
-    while size_x() != target:
-        if size_x() > target:
-            movable = [(cls[-1], m) for m, cls in enumerate(x) if cls and len(y[m]) < h_bot]
-            if not movable:
-                raise RuntimeError("no pushable element while the top band is oversized")
-            e, m = max(movable)
-            x[m] = x[m][:-1]
-            y[m] = tuple(sorted(y[m] + (e,)))
-        else:
-            movable = [(cls[0], m) for m, cls in enumerate(y) if cls and len(x[m]) < h_top]
-            if not movable:
-                raise RuntimeError("no pushable element while the top band is undersized")
-            e, m = min(movable)
-            y[m] = y[m][1:]
-            x[m] = tuple(sorted(x[m] + (e,)))
-
-    return tuple(x), tuple(y)
+    low = [max(0, len(cls) - h_bot) for cls in classes]
+    high = [min(h_top, len(cls)) for cls in classes]
+    below = [0] * r
+    top = sum(low)
+    for _, m in universe:
+        if top == target:
+            break
+        below[m] += 1
+        top += low[m] < below[m] <= high[m]
+    cuts = [min(max(b, lo), hi) for b, lo, hi in zip(below, low, high)]
+    return (
+        tuple(cls[:k] for cls, k in zip(classes, cuts)),
+        tuple(cls[k:] for cls, k in zip(classes, cuts)),
+    )
 
 
 def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProfile) -> Filling:

@@ -26,9 +26,8 @@ from .exact import (
 from .sequences import (
     NotDominantError,
     PointSequence,
+    _certified_profile,
     default_threshold,
-    dominance_profile,
-    ordered_lift,
 )
 
 
@@ -85,10 +84,6 @@ class Partition:
     @property
     def r(self) -> int:
         return len(self.classes)
-
-    def canonical(self) -> "Partition":
-        """Classes reordered by smallest member; the unlabeled normal form."""
-        return Partition(self.n, sorted(self.classes, key=min))
 
     def is_proper(self, d: int) -> bool:
         return all(len(cls) <= d + 1 for cls in self.classes)
@@ -306,7 +301,10 @@ def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list
 
     d, n = points.dim, points.length
     r = _class_count(points)
-    certificate = _certified_profile(points, r)
+    try:
+        certificate = _certified_profile(points, default_threshold(d, r))
+    except NotDominantError:
+        certificate = None
     found = []
     for p in enumerate_proper_partitions(n, r, d + 1):
         if certificate is not None:
@@ -342,16 +340,6 @@ def _class_count(points: PointSequence) -> int:
     if r < 2:
         raise DimensionError(f"a sequence of length {n} gives r = {r}; a partition needs at least 2 classes")
     return r
-
-
-def _certified_profile(points: PointSequence, r: int) -> Optional[tuple]:
-    """(profile, row_coords) of the ordered lift at default_threshold(d, r), or None."""
-    q = default_threshold(points.dim, r)
-    try:
-        ordered, coords = ordered_lift(points, q)
-        return dominance_profile(ordered, q), coords
-    except NotDominantError:
-        return None
 
 
 # ---------------------------------------------------------------------------

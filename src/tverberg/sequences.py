@@ -436,9 +436,6 @@ class DominanceProfile:
     kinds: tuple
     order: tuple
 
-    def relation(self, t: int, s: int) -> Relation:
-        return self.relations[(t, s)]
-
     def max_of(self, coordinates) -> int:
         """The most dominant coordinate among the given ones."""
         items = list(coordinates)
@@ -507,6 +504,16 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
         kinds=tuple(kinds),
         order=tuple(order),
     )
+
+
+def _certified_profile(points: PointSequence, q: ScalarLike) -> tuple:
+    """(profile, row_coords) of the ordered lift of the points at q.
+
+    The certificate of the dominant route: the lift, its rows reordered by
+    ordered_lift, must be dominant at q.  Raises NotDominantError otherwise.
+    """
+    ordered, coords = ordered_lift(points, q)
+    return dominance_profile(ordered, q), coords
 
 
 def is_dominant(a: PointSequence, q: ScalarLike) -> bool:

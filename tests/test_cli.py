@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tverberg import cli, partitions
+from tverberg import partitions, sequences
 from tverberg.cli import build_parser, main
 from tverberg.exact import det_sign
 from tverberg.partitions import build_system, enumerate_proper_partitions, partition_to_json
@@ -189,7 +189,7 @@ def test_dominant_oracle_lifts_once(capsys, monkeypatch, tmp_path):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "ordered_lift", counted(cli.ordered_lift))
+    monkeypatch.setattr(sequences, "ordered_lift", counted(sequences.ordered_lift))
     assert main(["dominant", "--partition", part, "--oracle", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["oracle_agree"] is True
     assert len(calls) == 1
@@ -377,14 +377,18 @@ def test_consecutive_calls_do_not_share_flags(capsys, tmp_path, line_seq, good_p
     assert not out.exists()
 
 
-def test_one_class_partition_exits_two(capsys, tmp_path):
+def test_one_class_partition_exits_two(capsys, tmp_path, line_seq):
     part = write_json(tmp_path / "p.json", {"n": 3, "classes": [[1, 2, 3]]})
-    for command in ("dominant", "witness"):
-        assert main([command, "--partition", part]) == 2
+    for argv, message in (
+        (["dominant"], "at least two classes"),
+        (["witness"], "at least two classes"),
+        (["check", "--seq", line_seq], "expects a partition into r = 2 classes, got 1"),
+    ):
+        assert main(argv + ["--partition", part]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert "at least two classes" in captured.err
+        assert message in captured.err
 
 
 def test_readme_command_examples_parse():
@@ -426,11 +430,14 @@ def test_construction_flag_beside_seq_exits_two(capsys, tmp_path, line_seq, comm
     assert flag in captured.err.strip().splitlines()[-1]
 
 
-@pytest.mark.parametrize("command", ["verify-universality", "enumerate", "sgp"])
+@pytest.mark.parametrize("command", ["verify-universality", "enumerate", "sgp", "check"])
 def test_one_point_sequence_exits_two(capsys, tmp_path, command):
     # One point fits r = 1, below the two classes a partition needs.
     seq = write_json(tmp_path / "one.json", {"d": 1, "n": 1, "points": [["5"]]})
-    assert main([command, "--seq", seq]) == 2
+    argv = [command, "--seq", seq]
+    if command == "check":
+        argv += ["--partition", write_json(tmp_path / "p.json", {"n": 1, "classes": [[1]]})]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err

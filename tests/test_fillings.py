@@ -362,6 +362,27 @@ def test_find_dominant_matches_brute_force_argmax(super_instance, d, r):
             assert find_dominant_filling(partition, ell, profile) == best.filling
 
 
+@pytest.mark.parametrize("d, r", [(2, 3), (3, 2)])
+def test_every_split_is_checked(monkeypatch, super_instance, d, r):
+    # d splits cut the d + 1 grid rows into one-row bands, and each split
+    # passes through the four split conditions.
+    _, profile = super_instance(d, r)
+    check = tverberg.fillings.check_split_conditions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(tverberg.fillings, "check_split_conditions", counted)
+    n = (r - 1) * (d + 1) + 1
+    for partition in enumerate_proper_partitions(n, r, d + 1):
+        for ell in range(1, n + 1):
+            calls.clear()
+            find_dominant_filling(partition, ell, profile)
+            assert len(calls) == d, (partition, ell)
+
+
 def test_find_dominant_validations(super_instance):
     _, profile = super_instance(1, 3)
     _, wide_profile = super_instance(2, 2)
@@ -374,12 +395,13 @@ def test_find_dominant_validations(super_instance):
 
 
 # ---------------------------------------------------------------------------
-# three-step split bookkeeping
+# threshold split bookkeeping
 
 
 def test_dominant_split_stage_bookkeeping_frozen():
-    # the size split puts 1,2,3,4 on top; the exchange returns 3 to the
-    # bottom; one push-up lifts 5
+    # the clamps put 2, 1..2 and 0..1 elements of the classes on top, so 3
+    # at least; the threshold rises past 1..4 without changing that, and 5
+    # is the fourth top element
     assert dominant_split([(1, 2, 3), (4, 5), (6,)], 2, 1) == (
         ((1, 2), (4, 5), ()),
         ((3,), (), (6,)),
@@ -416,6 +438,32 @@ def test_dominant_split_bookkeeping_randomized():
             assert x + y == tuple(sorted(cls))
         assert check_split_conditions(x_by_class, y_by_class, h_top, h_bot) == ()
         assert (x_by_class, y_by_class) == dominant_split(classes, h_top, h_bot)
+
+
+BAND_SHAPES = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (2, 1, 3), (2, 3, 1),
+               (3, 1, 1), (3, 1, 2), (3, 2, 1), (4, 1, 1)]
+
+
+def test_dominant_split_is_the_one_passing_prefix_cut():
+    # Every labelling of 1..N into r classes of at most h_top + h_bot
+    # elements: exactly one prefix cut passes the four conditions, and
+    # dominant_split returns it.
+    bands = 0
+    for r, h_top, h_bot in BAND_SHAPES:
+        size = (h_top + h_bot) * (r - 1)
+        for labels in itertools.product(range(r), repeat=size):
+            classes = [tuple(e for e in range(1, size + 1) if labels[e - 1] == m) for m in range(r)]
+            if any(len(cls) > h_top + h_bot for cls in classes):
+                continue
+            bands += 1
+            passing = []
+            for cuts in itertools.product(*(range(len(cls) + 1) for cls in classes)):
+                x = tuple(cls[:k] for cls, k in zip(classes, cuts))
+                y = tuple(cls[k:] for cls, k in zip(classes, cuts))
+                if check_split_conditions(x, y, h_top, h_bot) == ():
+                    passing.append((x, y))
+            assert passing == [dominant_split(classes, h_top, h_bot)], (classes, h_top, h_bot)
+    assert bands == 2582
 
 
 def test_check_split_conditions_flags_each_condition():

@@ -258,8 +258,8 @@ def test_chain_profile_orders_gaps_ascending():
     assert profile.order == (1, 2, 3)
     assert profile.classes == ((1,), (2,), (3,))
     assert profile.max_of([1, 3]) == 3
-    assert profile.relation(1, 2) is Relation.PRECEDES
-    assert profile.relation(2, 1) is Relation.SUCCEEDED_BY
+    assert profile.relations[(1, 2)] is Relation.PRECEDES
+    assert profile.relations[(2, 1)] is Relation.SUCCEEDED_BY
 
 
 def test_right_similar_profile_is_one_ascending_class():
@@ -361,7 +361,7 @@ def test_profile_orders_left_and_right_similar_classes(monkeypatch):
     assert profile.classes == ((2, 4), (1, 3))
     assert profile.kinds == (R, L)
     assert profile.order == (2, 4, 3, 1)
-    assert profile.relation(4, 1) is P
+    assert profile.relations[(4, 1)] is P
     assert profile.max_of([1, 2, 3, 4]) == 1
 
 
