@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tverberg import fillings, partitions
+from tverberg import fillings, partitions, sequences
 from tverberg.exact import DimensionError, Matrix, det, det_sign
 from tverberg.fillings import _dominant_signs
 from tverberg.partitions import (
@@ -26,7 +26,7 @@ from tverberg.partitions import (
     partition_to_json,
     tverberg_number,
 )
-from tverberg.sequences import PointSequence, gen_moment_curve
+from tverberg.sequences import PointSequence, default_threshold, gen_moment_curve
 
 from oracle_utils import (
     affine_intersection_dim_by_ranks,
@@ -298,8 +298,8 @@ def test_cross_check_on_super_instances(super_instance, d, r):
     # and equal the determinant signs they reach, and a rejection's first
     # two disagreeing ells have opposite determinant signs.
     sup, _ = super_instance(d, r)
-    certificate = partitions._certified_profile(sup.points, r)
-    assert certificate is not None
+    # The threshold enumerate_tverberg certifies at; NotDominantError fails.
+    certificate = sequences._certified_profile(sup.points, default_threshold(d, r))
     accepted = []
     for p in enumerate_proper_partitions(sup.points.length, r, d + 1):
         verdict = decide_tverberg(sup.points, p, cross_check=True)
