@@ -267,7 +267,7 @@ def _outgrowth_counts(a: PointSequence, q: ScalarLike) -> Optional[list]:
         raise ValueError("pseudo-geometric needs at least two coordinate rows")
     if not a.is_positive:
         return None
-    grid, quotient, beats = _growth_scale(a, scalar(q))
+    grid, quotient, _, beats = _growth_scale(a, scalar(q))
     counts = [0] * a.dim
     for t, s in combinations(range(a.dim), 2):
         ratio = [quotient(x, y) for x, y in zip(grid[t], grid[s])]
@@ -325,46 +325,37 @@ def _beat_exponent(base: Fraction, q: Fraction) -> int:
 
 
 def _growth_scale(a: PointSequence, q: Fraction):
-    """The grid growth is compared on, its quotient, and "x beats y by q".
+    """The grid growth is compared on, its quotient and product, and "x beats y by q".
 
     On a positive sequence.  With an exponent table (and q > 0) every entry
-    is base**e, so a quotient is an exponent difference and x > q*y is
-    x - y >= c for the least integer c with base**c > q.  Otherwise the
-    Fraction entries are divided and compared as they are.
+    is base**e, so quotients and products are exponent differences and sums,
+    and x > q*y is x - y >= c for the least integer c with base**c > q.
+    Otherwise the Fraction entries are divided, multiplied and compared.
     """
     if a._exponents is not None and q > 0:
         base, table = a._exponents
         c = _beat_exponent(base, q)
-        return table, operator.sub, lambda x, y: x - y >= c
-    return a.rows, operator.truediv, lambda x, y: x > q * y
+        return table, operator.sub, operator.add, lambda x, y: x - y >= c
+    return a.rows, operator.truediv, operator.mul, lambda x, y: x > q * y
 
 
 class _RatioTable:
-    """Cached consecutive-row ratios; growth_ratio(t,i,j) = ratio(t,j)/ratio(t,i).
+    """Consecutive-row ratios, built once; growth_ratio(t,i,j) = ratio(t,j)/ratio(t,i).
 
     Ratios are Fractions, or exponents of base on a tabled sequence; they are
-    only compared through `beats`, which means x > q*y either way.
+    only multiplied through `times` and compared through `beats` (x > q*y).
     """
 
     def __init__(self, a: PointSequence, q: Fraction):
-        grid, self._quotient, self.beats = _growth_scale(a, q)
+        grid, quotient, self.times, self.beats = _growth_scale(a, q)
         self.ratios = [
-            [self._quotient(grid[t][i], grid[t - 1][i]) for i in range(a.length)]
+            [quotient(grid[t][i], grid[t - 1][i]) for i in range(a.length)]
             for t in range(1, a.dim)
         ]
-        self._memo: dict = {}
 
     def is_ordered(self) -> bool:
         """Every consecutive-row ratio sequence is q-increasing."""
         return all(self.beats(y, x) for row in self.ratios for x, y in zip(row, row[1:]))
-
-    def f(self, t: int, i: int, j: int):
-        key = (t, i, j)
-        got = self._memo.get(key)
-        if got is None:
-            row = self.ratios[t - 1]
-            got = self._memo[key] = self._quotient(row[j - 1], row[i - 1])
-        return got
 
 
 def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optional[_RatioTable] = None) -> Relation:
@@ -387,6 +378,15 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
 
     Any fraction landing inside [1/q, q], or a verdict that flips between
     triples, classifies as inconsistent.
+
+    The triples are not enumerated.  With g, h the ratio rows of t and s,
+    the early fraction beats q exactly when g_j*h_j beats g_i*h_k, the late
+    one when g_k*h_i beats g_j*h_j.  At a fixed middle j, i < j and k > j
+    vary independently over positive ratios, so the varying product lies
+    between min*min and max*max of the rows before and after j, both
+    attained; and each verdict (high, low, neither) holds on an interval of
+    it, as "beats" holds on a half-line in each argument for any q.  So all
+    triples through j share a verdict exactly when those two products do.
     """
     if a.length < 3:
         raise ValueError("classification needs at least three positions")
@@ -395,28 +395,28 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
     for c in (t, s):
         if not 1 <= c < a.dim:
             raise IndexError(f"coordinate {c} out of range 1..{a.dim - 1}")
-    threshold = scalar(q)
-    table = _table if _table is not None else _RatioTable(a, threshold)
-    states: dict = {}
-    for i, j, k in combinations(range(1, a.length + 1), 3):
-        for which, top, bottom in (
-            ("early", table.f(t, i, j), table.f(s, j, k)),
-            ("late", table.f(t, j, k), table.f(s, i, j)),
-        ):
-            if table.beats(top, bottom):
-                state = "high"
-            elif table.beats(bottom, top):
-                state = "low"
-            else:
-                return Relation.INCONSISTENT
-            if states.setdefault(which, state) != state:
-                return Relation.INCONSISTENT
+    if _table is None and not a.is_positive:
+        raise ValueError("classification needs positive entries")
+    table = _table if _table is not None else _RatioTable(a, scalar(q))
+    g, h = table.ratios[t - 1], table.ratios[s - 1]
+
+    def verdict(top, bottom):
+        return "high" if table.beats(top, bottom) else "low" if table.beats(bottom, top) else None
+
+    early, late = set(), set()
+    for j in range(1, a.length - 1):
+        middle = table.times(g[j], h[j])
+        for pick in (min, max):
+            early.add(verdict(middle, table.times(pick(g[:j]), pick(h[j + 1:]))))
+            late.add(verdict(table.times(pick(g[j + 1:]), pick(h[:j])), middle))
+        if None in early | late or len(early) > 1 or len(late) > 1:
+            return Relation.INCONSISTENT
     return {
         ("low", "low"): Relation.PRECEDES,
         ("high", "high"): Relation.SUCCEEDED_BY,
         ("high", "low"): Relation.LEFT_SIMILAR,
         ("low", "high"): Relation.RIGHT_SIMILAR,
-    }[(states["early"], states["late"])]
+    }[(early.pop(), late.pop())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -613,15 +613,14 @@ def verify_pinned_combination(
     q: ScalarLike,
     alphas: Sequence[ScalarLike],
     zero_positions: Sequence[int],
-    depth: int = 1,
 ) -> PinnedCombinationReport:
     """Check sign structure and dominant-term bounds of a pinned combination.
 
-    For positions at distance more than `depth` from the neighbouring zeros,
-    the region's own term must dominate: with X the local term's magnitude and
-    N the two neighbouring terms' magnitudes,
+    For positions more than one step away from the neighbouring zeros, the
+    region's own term must dominate: with X the local term's magnitude and N
+    the two neighbouring terms' magnitudes,
 
-        (1 - 2/q**depth) * X  <  X - N  <=  |b_i|  <  X.
+        (1 - 2/q) * X  <  X - N  <=  |b_i|  <  X.
 
     The middle comparison admits equality: when every term other than the
     local one is an immediate neighbour (three coordinate rows, middle
@@ -635,8 +634,6 @@ def verify_pinned_combination(
     threshold = scalar(q)
     if threshold <= 3:
         raise ValueError("the bounds need q > 3")
-    if depth < 1:
-        raise ValueError("depth must be a positive integer")
     zeros = sorted(int(j) for j in zero_positions)
     if len(zeros) != a.dim - 1 or len(set(zeros)) != len(zeros):
         raise ValueError("zero positions must be distinct and one fewer than dim")
@@ -676,12 +673,12 @@ def verify_pinned_combination(
         if u and v and u != -v:
             violations.append(f"no-flip: across zero at position {zeros[idx]}")
 
-    slack = 1 - 2 / threshold**depth
+    slack = 1 - 2 / threshold
     for t in range(1, a.dim + 1):
         lo = zeros[t - 2] if t >= 2 else None
         hi = zeros[t - 1] if t <= len(zeros) else None
-        start = (lo + depth + 1) if lo is not None else 1
-        stop = (hi - depth - 1) if hi is not None else a.length
+        start = (lo + 2) if lo is not None else 1
+        stop = (hi - 2) if hi is not None else a.length
         for i in range(max(start, 1), min(stop, a.length) + 1):
             own = abs(coeffs[t - 1] * a.entry(t, i))
             neighbours = Fraction(0)

@@ -5,7 +5,9 @@ determinants, textbook Gaussian elimination over Fraction, brute-force
 enumeration for combinatorial counts.  Slow but hard to get wrong.
 """
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+
+from tverberg.sequences import Relation, growth_ratio
 
 
 def perm_sign(perm):
@@ -177,6 +179,38 @@ def disjoint_families_by_labeling(n, k):
         assignment[i] = 0
 
     yield from walk(1)
+
+
+def classify_pair_by_triples(a, q, t, s):
+    """The relation of coordinates t and s, scanned triple by triple.
+
+    At every i < j < k the early pair (growth(t,i,j), growth(s,j,k)) and the
+    late pair (growth(t,j,k), growth(s,i,j)) are each "high" when the first
+    exceeds q times the second, else "low" when the second exceeds q times
+    the first; either pair being neither, or a window seeing both verdicts,
+    is inconsistent.  Uses only growth_ratio and Fraction comparison.
+    """
+    q = Fraction(q)
+    seen = {"early": set(), "late": set()}
+    for i, j, k in combinations(range(1, a.length + 1), 3):
+        for window, x, y in (
+            ("early", growth_ratio(a, t, i, j), growth_ratio(a, s, j, k)),
+            ("late", growth_ratio(a, t, j, k), growth_ratio(a, s, i, j)),
+        ):
+            if x > q * y:
+                seen[window].add("high")
+            elif y > q * x:
+                seen[window].add("low")
+            else:
+                return Relation.INCONSISTENT
+    if len(seen["early"]) != 1 or len(seen["late"]) != 1:
+        return Relation.INCONSISTENT
+    return {
+        ("low", "low"): Relation.PRECEDES,
+        ("high", "high"): Relation.SUCCEEDED_BY,
+        ("high", "low"): Relation.LEFT_SIMILAR,
+        ("low", "high"): Relation.RIGHT_SIMILAR,
+    }[(*seen["early"], *seen["late"])]
 
 
 def stirling2(n, k):

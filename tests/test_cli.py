@@ -442,3 +442,26 @@ def test_one_point_sequence_exits_two(capsys, tmp_path, command):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "at least 2 classes" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify-universality --seq d2.json --d 3", "--d 3 contradicts the sequence file (d = 2)"),
+        ("dominant --partition p7.json --d 3", "--d 3 contradicts the partition (d = 2)"),
+        ("dominant --partition p7.json --r 4", "--r 4 contradicts the partition (r = 3)"),
+        ("verify-universality --d 2", "need --seq FILE, or --d and --r to construct an instance"),
+        ("dominant --seq d2.json --partition p5.json", "partition covers 5 elements but the sequence has 7"),
+        ("witness --seq d2.json --partition p5.json", "partition covers 5 elements but the sequence has 7"),
+        ("check --seq d2.json --partition p5.json", "partition covers 5 elements but the sequence has 7"),
+    ],
+)
+def test_instance_shape_mismatch_exits_two(capsys, tmp_path, argv, message):
+    write_json(tmp_path / "d2.json", {"d": 2, "n": 7, "points": [[str(i), str(i * i)] for i in range(1, 8)]})
+    write_json(tmp_path / "p7.json", {"n": 7, "classes": [[1, 2, 3], [4, 5], [6, 7]]})
+    write_json(tmp_path / "p5.json", {"n": 5, "classes": [[1, 2], [3, 4], [5]]})
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in argv.split()]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == f"error: {message}"

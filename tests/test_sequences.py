@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_utils import classify_pair_by_triples
 from tverberg import sequences
 from tverberg.sequences import (
     NotDominantError,
@@ -245,6 +246,77 @@ def test_classify_pair_rejects_bad_arguments():
     short = PointSequence([[1, 2], [2, 8]])
     with pytest.raises(ValueError):
         classify_pair(short, 3, 1, 1)
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="positive"):
+            classify_pair(PointSequence([[1, 1, 1], [2, bad, 8], [4, 16, 64]]), 3, 1, 2)
+
+
+ORACLE_QS = [Fraction(x) for x in ("-2", "-1/2", "0", "1/4", "1/2", "1", "3/2", "2", "3", "4", "9")]
+
+
+def random_gap_table(rng):
+    """An exponent table whose consecutive-row gaps are drawn from growth
+    shapes that classify every way (fast, reversed, linear, sorted, free)."""
+    dim, length = rng.randint(3, 5), rng.randint(3, 7)
+
+    def gap_row():
+        c = rng.randint(1, 3)
+        return rng.choice([
+            [c * 2**i for i in range(length)],
+            [-c * 2 ** (length - i) for i in range(length)],
+            [c * i for i in range(length)],
+            sorted(rng.randint(-4, 12) for _ in range(length)),
+            [rng.randint(-4, 12) for _ in range(length)],
+        ])
+
+    table = [[rng.randint(-2, 2) for _ in range(length)]]
+    for _ in range(dim - 1):
+        table.append([e + g for e, g in zip(table[-1], gap_row())])
+    return table
+
+
+def test_classify_pair_matches_the_triple_scan():
+    rng = random.Random(13)
+    seen = {"fraction": set(), "exponent": set()}
+    for _ in range(150):
+        base = rng.choice([Fraction(2), Fraction(3), Fraction(3, 2)])
+        q = rng.choice(ORACLE_QS)
+        table = random_gap_table(rng)
+        rows = [[base**e for e in row] for row in table]
+        tabled = sequences._carrying(PointSequence(rows), base, tuple(map(tuple, table)))
+        if rng.random() < 0.5:  # off the power lattice
+            rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] *= Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        for a, route in ((PointSequence(rows), "fraction"), (tabled, "exponent" if q > 0 else "fraction")):
+            for t, s in itertools.permutations(range(1, a.dim), 2):
+                expected = classify_pair_by_triples(a, q, t, s)
+                assert classify_pair(a, q, t, s) is expected, (route, base, q, table, t, s)
+                seen[route].add(expected)
+    assert seen["fraction"] == seen["exponent"] == set(Relation)
+
+
+def test_classify_pair_cost_is_linear_in_length(monkeypatch):
+    built = gen_super_dominant(3, 2)
+    witness = built.witness
+    assert witness.length == 20
+    scale = sequences._growth_scale
+    calls = 0
+
+    def counted_scale(a, q):
+        *rest, beats = scale(a, q)
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return beats(x, y)
+
+        return (*rest, counted)
+
+    monkeypatch.setattr(sequences, "_growth_scale", counted_scale)
+    for t, s in itertools.permutations(range(1, witness.dim), 2):
+        calls = 0
+        expected = Relation.PRECEDES if t < s else Relation.SUCCEEDED_BY
+        assert classify_pair(witness, built.q, t, s) is expected
+        assert 0 < calls <= 8 * (witness.length - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +525,6 @@ def test_pinned_combination_input_validation():
         verify_pinned_combination(a, 3, alphas, zeros)  # needs q > 3
     with pytest.raises(ValueError):
         verify_pinned_combination(a, 4, alphas, [3, 5])  # zeros too close
-    with pytest.raises(ValueError):
-        verify_pinned_combination(a, 4, alphas, zeros, depth=0)
 
 
 def test_pinned_combination_alternating_signs():
