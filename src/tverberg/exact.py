@@ -9,7 +9,7 @@ fewest bits, so the pivot every later step divides by stays small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 try:
@@ -107,19 +107,19 @@ class Matrix:
 
 
 def _scaled_int_rows(rows: Iterable[Sequence[Fraction]]):
-    """Clear denominators row by row.  Returns (integer grid, positive scale).
+    """Clear denominators row by row.  Returns (integer grid, row scales).
 
-    Scaling a row by a positive integer scales the determinant by the same
-    factor, so signs are unaffected and the exact determinant can be recovered
-    by dividing by the accumulated scale.
+    Each row is multiplied by the lcm of its denominators.  Scaling a row by
+    a positive integer keeps its solution set and scales the determinant by
+    the same factor, so signs are unaffected and the exact determinant is
+    recovered by dividing by the product of the scales.
     """
-    grid = []
-    scale = 1
+    grid, scales = [], []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
         grid.append([_bigint(x.numerator * (mult // x.denominator)) for x in row])
-        scale *= mult
-    return grid, scale
+        scales.append(mult)
+    return grid, scales
 
 
 def _fewest_bits(grid: list, first_row: int, free: list):
@@ -190,12 +190,12 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if not m.is_square:
         raise DimensionError("determinant needs a square matrix")
-    grid, scale = _scaled_int_rows(m)
+    grid, scales = _scaled_int_rows(m)
     n = m.rows
     pivots, sign = _eliminate(grid, n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * int(grid[n - 1][pivots[-1]]), scale)
+    return Fraction(sign * int(grid[n - 1][pivots[-1]]), prod(scales))
 
 
 def det_sign(m: Matrix) -> int:
@@ -209,33 +209,37 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(grid, m.cols)[0])
 
 
-def _eliminate_augmented(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
-    """(grid, pivots) of one forward pass over [m | b], pivoting in m's columns only."""
+def _augmented_grid(m: Matrix, b: Sequence[ScalarLike]) -> list:
+    """The integer grid of [m | b], each row scaled by its own positive factor."""
     if len(b) != m.rows:
         raise DimensionError("right-hand side has the wrong length")
-    grid, _ = _scaled_int_rows(row + (scalar(x),) for row, x in zip(m, b))
-    pivots, _ = _eliminate(grid, m.cols)
-    return grid, pivots
+    return _scaled_int_rows(row + (scalar(x),) for row, x in zip(m, b))[0]
+
+
+def _grid_solution_dim(grid: list, width: int) -> int:
+    """Solution-set dimension of [M | b], M the first `width` columns; -1 if empty.
+
+    Eliminates the integer grid in place.  The pivot count is M's rank, and a
+    later row that keeps a nonzero rhs entry makes the set empty.
+    """
+    pivots, _ = _eliminate(grid, width)
+    if any(row[width] for row in grid[len(pivots):]):
+        return -1
+    return width - len(pivots)
 
 
 def solution_dim(m: Matrix, b: Sequence[ScalarLike]) -> int:
-    """Dimension of the solution set of m x = b; -1 when it is empty.
-
-    The pivot count is the rank of m, and the rows after the pivot rows are
-    zero in m's columns: the set is empty when one keeps a nonzero rhs entry.
-    """
-    grid, pivots = _eliminate_augmented(m, b)
-    if any(row[m.cols] for row in grid[len(pivots):]):
-        return -1
-    return m.cols - len(pivots)
+    """Dimension of the solution set of m x = b; -1 when it is empty."""
+    return _grid_solution_dim(_augmented_grid(m, b), m.cols)
 
 
 def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     """Unique exact solution of m x = b; raises SingularMatrixError otherwise."""
     if not m.is_square:
         raise DimensionError("solve_linear needs a square matrix")
-    grid, pivots = _eliminate_augmented(m, b)
+    grid = _augmented_grid(m, b)
     n = m.rows
+    pivots, _ = _eliminate(grid, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular; no unique solution")
     # Fraction steps cancel as they go; integer Cramer numerators (full determinant size) ran slower.

@@ -18,9 +18,10 @@ from .exact import (
     DimensionError,
     Matrix,
     SingularMatrixError,
+    _grid_solution_dim,
+    _scaled_int_rows,
     det_sign,
     rank,
-    solution_dim,
     solve_linear,
 )
 from .sequences import (
@@ -120,20 +121,15 @@ def is_rainbow(partition: Partition, d: int) -> bool:
     )
 
 
-def enumerate_proper_partitions(n: int, r: int, max_size: int) -> list:
-    """All unlabeled partitions of 1..n into r classes of size <= max_size.
-
-    Classes come out ordered by smallest member; the listing is deterministic
-    (restricted-growth order).
-    """
-    results: list = []
+def _restricted_growth(n: int, r: int, max_size: int):
+    """The walk of enumerate_proper_partitions, yielding tuples of sorted class tuples."""
     classes: list = []
 
     def place(i: int):
         remaining = n - i + 1
         if remaining == 0:
             if len(classes) == r:
-                results.append(Partition(n, [tuple(cls) for cls in classes]))
+                yield tuple(map(tuple, classes))
             return
         missing = r - len(classes)
         if remaining < missing:
@@ -144,15 +140,23 @@ def enumerate_proper_partitions(n: int, r: int, max_size: int) -> list:
         for cls in classes:
             if len(cls) < max_size:
                 cls.append(i)
-                place(i + 1)
+                yield from place(i + 1)
                 cls.pop()
         if len(classes) < r:
             classes.append([i])
-            place(i + 1)
+            yield from place(i + 1)
             classes.pop()
 
-    place(1)
-    return results
+    return place(1)
+
+
+def enumerate_proper_partitions(n: int, r: int, max_size: int) -> list:
+    """All unlabeled partitions of 1..n into r classes of size <= max_size.
+
+    Classes come out ordered by smallest member; the listing is deterministic
+    (restricted-growth order).
+    """
+    return [Partition(n, classes) for classes in _restricted_growth(n, r, max_size)]
 
 
 def enumerate_rainbow(d: int, r: int) -> list:
@@ -174,28 +178,30 @@ class TverbergSystem(NamedTuple):
     rhs: tuple
 
 
-def _common_point_system(points: PointSequence, groups, columns) -> TverbergSystem:
-    """Affine weights per group, all placing the group's points at one z.
+def _common_point_system(coords, scales, one, groups, columns) -> list:
+    """Rows of [M | b]: affine weights per group, all placing the group's points at one z.
 
-    columns[g] holds the weight column of each position of groups[g]; over
-    all groups they number 0..k-1, and z_1..z_d take columns k..k+d-1.  Each
-    group adds d + 1 rows: sum(alpha_i) = 1, then for t = 1..d
-    sum(alpha_i p_i,t) - z_t = 0, with i over the group.
+    coords[t - 1][i - 1] is coordinate t of position i times scales[t - 1] > 0;
+    the other entries are `one` and `one - one` (Fraction or int).  columns[g]
+    holds the weight column of each position of groups[g]; over all groups
+    they number 0..k-1, and z_1..z_d take columns k..k+d-1.  Each group adds
+    d + 1 rows: sum(alpha_i) = 1, then for t = 1..d sum(alpha_i p_i,t) - z_t
+    = 0 times scales[t - 1], with i over the group.
     """
-    d = points.dim
+    d = len(coords)
     z0 = sum(len(cols) for cols in columns)
     rows = []
     for group, cols in zip(groups, columns):
-        block = [[Fraction(0)] * (z0 + d) for _ in range(d + 1)]
+        block = [[one - one] * (z0 + d + 1) for _ in range(d + 1)]
+        block[0][-1] = one
         for i, c in zip(group, cols):
-            block[0][c] = Fraction(1)
-            for t in range(1, d + 1):
-                block[t][c] = points.entry(t, i)
-        for t in range(1, d + 1):
-            block[t][z0 + t - 1] = Fraction(-1)
+            block[0][c] = one
+            for t in range(d):
+                block[t + 1][c] = coords[t][i - 1]
+        for t in range(d):
+            block[t + 1][z0 + t] = -scales[t]
         rows.extend(block)
-    rhs = (Fraction(1),) + (Fraction(0),) * d
-    return TverbergSystem(Matrix(rows), rhs * len(groups))
+    return rows
 
 
 def build_system(points: PointSequence, partition: Partition) -> TverbergSystem:
@@ -213,7 +219,9 @@ def build_system(points: PointSequence, partition: Partition) -> TverbergSystem:
             f"square system needs n = (r-1)(d+1)+1; got n={n}, r={r}, d={d}"
         )
     columns = [[i - 1 for i in cls] for cls in partition.classes]
-    return _common_point_system(points, partition.classes, columns)
+    one = Fraction(1)
+    rows = _common_point_system(points.rows, [one] * d, one, partition.classes, columns)
+    return TverbergSystem(Matrix(row[:-1] for row in rows), tuple(row[-1] for row in rows))
 
 
 @dataclass(frozen=True)
@@ -352,12 +360,14 @@ def affine_intersection_dim(points: PointSequence, subsets: Sequence[Sequence[in
     Works over one combined system: affine weights per subset, all forced to
     produce the same point.  The intersection dimension is the solution-space
     dimension minus the weight-space slack (weights describing one point are
-    unique only up to each hull's own degeneracies).
+    unique only up to each hull's own degeneracies).  Positions are plain
+    integers in 1..n.
     """
-    groups = [tuple(sorted(set(int(i) for i in sub))) for sub in subsets]
-    if not groups or any(not g for g in groups):
-        raise ValueError("need at least one nonempty subset")
-    return _intersection_dim(points, groups, [_hull_dim(points, g) for g in groups])
+    groups = [tuple(sorted(set(_position(i) for i in sub))) for sub in subsets]
+    if not groups or any(not g or g[0] < 1 or g[-1] > points.length for g in groups):
+        raise ValueError(f"need at least one subset, each nonempty and in 1..{points.length}")
+    hull_dims = [_hull_dim(points, g) for g in groups]
+    return _intersection_dim(*_scaled_int_rows(points.rows), groups, hull_dims)
 
 
 def _hull_dim(points: PointSequence, group: Sequence[int]) -> int:
@@ -365,26 +375,28 @@ def _hull_dim(points: PointSequence, group: Sequence[int]) -> int:
     return rank(Matrix([[Fraction(1)] + list(points.point(i)) for i in group])) - 1
 
 
-def _intersection_dim(points: PointSequence, groups: Sequence, hull_dims: Sequence) -> int:
-    """affine_intersection_dim on sorted nonempty groups with known hull dimensions."""
+def _intersection_dim(coords, scales, groups: Sequence, hull_dims: Sequence) -> int:
+    """affine_intersection_dim on sorted nonempty groups with known hull dimensions.
+
+    coords and scales are what _scaled_int_rows returns for the points' rows.
+    """
     # Groups may overlap, so each takes its own block of weight columns.
     ends = accumulate(map(len, groups))
     columns = [range(end - len(g), end) for g, end in zip(groups, ends)]
-    dim = solution_dim(*_common_point_system(points, groups, columns))
+    grid = _common_point_system(coords, scales, 1, groups, columns)
+    dim = _grid_solution_dim(grid, len(grid[0]) - 1)
     slack = sum(len(g) - 1 - h for g, h in zip(groups, hull_dims))
     return -1 if dim == -1 else dim - slack
 
 
-def _disjoint_families(n: int, k: int) -> list:
-    """Unlabeled families of k disjoint nonempty subsets of 1..n.
+def _disjoint_families(n: int, k: int):
+    """Unlabeled families of k disjoint nonempty subsets of 1..n, one at a time.
 
     Each is a partition of 1..n+1 into k+1 classes with the class holding
     n+1, which collects the unused elements, dropped.
     """
-    return [
-        tuple(cls for cls in p.classes if cls[-1] != n + 1)
-        for p in enumerate_proper_partitions(n + 1, k + 1, n + 1)
-    ]
+    for classes in _restricted_growth(n + 1, k + 1, n + 1):
+        yield tuple(cls for cls in classes if cls[-1] != n + 1)
 
 
 def is_strong_general_position(points: PointSequence, r: int) -> bool:
@@ -393,10 +405,13 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
     Expected: the intersection of the affine hulls loses exactly the summed
     codimensions, floored at empty, i.e.
     d - dim(intersection) == min(d + 1, sum of (d - hull_dim)) with the empty
-    intersection counted as dimension -1.  Exponential in n; intended for
-    small instances.
+    intersection counted as dimension -1.  r is a plain integer >= 1; the
+    check is exponential in n and intended for small instances.
     """
+    if type(r) is not int or r < 1:
+        raise ValueError(f"r must be a plain integer >= 1, got {r!r}")
     d, n = points.dim, points.length
+    coords, scales = _scaled_int_rows(points.rows)
     hull_dim: dict = {}  # sorted subset -> dimension of its affine hull
     for k in range(1, r + 1):
         for family in _disjoint_families(n, k):
@@ -405,6 +420,6 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
                     hull_dim[g] = _hull_dim(points, g)
             dims = [hull_dim[g] for g in family]
             expected = min(d + 1, sum(d - h for h in dims))
-            if d - _intersection_dim(points, family, dims) != expected:
+            if d - _intersection_dim(coords, scales, family, dims) != expected:
                 return False
     return True

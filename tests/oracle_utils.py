@@ -181,6 +181,25 @@ def disjoint_families_by_labeling(n, k):
     yield from walk(1)
 
 
+def is_strong_general_position_by_ranks(points, r):
+    """Strong general position of the points, family by family, by ranks.
+
+    points[i - 1] is the coordinate tuple of position i.  Every family of k
+    disjoint nonempty subsets, k = 1..r, from disjoint_families_by_labeling
+    must meet the expected dimension loss min(d + 1, sum of (d - hull
+    dimension)), the intersection dimension taken from
+    affine_intersection_dim_by_ranks with empty counted as -1.
+    """
+    d = len(points[0])
+    for k in range(1, r + 1):
+        for family in disjoint_families_by_labeling(len(points), k):
+            hulls = [rank_by_elimination([[1, *points[i - 1]] for i in g]) - 1 for g in family]
+            expected = min(d + 1, sum(d - h for h in hulls))
+            if d - affine_intersection_dim_by_ranks(points, family) != expected:
+                return False
+    return True
+
+
 def classify_pair_by_triples(a, q, t, s):
     """The relation of coordinates t and s, scanned triple by triple.
 

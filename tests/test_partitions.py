@@ -31,6 +31,7 @@ from tverberg.sequences import PointSequence, default_threshold, gen_moment_curv
 from oracle_utils import (
     affine_intersection_dim_by_ranks,
     disjoint_families_by_labeling,
+    is_strong_general_position_by_ranks,
     labeled_proper_partitions,
     stirling2,
 )
@@ -144,6 +145,10 @@ def test_enumeration_is_deterministic():
     second = enumerate_proper_partitions(5, 2, 4)
     assert [p.classes for p in first] == [p.classes for p in second]
     assert all(list(p.classes) == sorted(p.classes, key=min) for p in first)
+
+
+def test_partition_listing_count():
+    assert len(enumerate_proper_partitions(10, 4, 3)) == 9100
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +381,26 @@ def test_affine_intersection_point_on_line():
     assert affine_intersection_dim(far, [[1, 2], [3]]) == -1
 
 
+@pytest.mark.parametrize("bad", [1.7, "3", True, 0, 5])
+def test_affine_intersection_rejects_bad_positions(bad):
+    # square_points has positions 1..4; 0 and 5 used to raise IndexError
+    with pytest.raises(ValueError):
+        affine_intersection_dim(square_points(), [[1, 2], [bad]])
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "2"])
+def test_strong_general_position_rejects_bad_class_counts(bad):
+    # r = 0 used to pass vacuously
+    with pytest.raises(ValueError):
+        is_strong_general_position(radon_line(), bad)
+
+
 @st.composite
-def special_point_sets(draw):
-    """Up to 6 small integer points in dimension 1 or 2, often in special position."""
-    d = draw(st.sampled_from([1, 2]))
+def special_point_sets(draw, dims=(1, 2), span=3):
+    """Up to 6 integer points in [-span, span]^d, d from dims, often in special position."""
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, 6))
-    coord = st.integers(-3, 3)
+    coord = st.integers(-span, span)
     pts = [tuple(draw(coord) for _ in range(d)) for _ in range(n)]
     shape = draw(st.sampled_from(["random", "repeated", "collinear", "parallel-secant"]))
     picks = draw(st.permutations(range(n)))
@@ -399,6 +418,17 @@ def special_point_sets(draw):
     return pts
 
 
+def divided_rows(pts, data):
+    """The points with each coordinate row divided by its own drawn denominator.
+
+    Returns (points as Fraction tuples, the PointSequence of their rows), so
+    that a row's lcm of denominators is mostly not 1.
+    """
+    denominators = [data.draw(st.integers(1, 12)) for _ in pts[0]]
+    pts = [tuple(Fraction(x, q) for x, q in zip(p, denominators)) for p in pts]
+    return pts, PointSequence([[p[t] for p in pts] for t in range(len(denominators))])
+
+
 @given(special_point_sets(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_affine_intersection_matches_two_rank_oracle(pts, data):
@@ -407,8 +437,15 @@ def test_affine_intersection_matches_two_rank_oracle(pts, data):
         st.lists(st.lists(st.integers(1, n), min_size=1, max_size=n), min_size=1, max_size=3)
     )
     groups = [sorted(set(g)) for g in raw]  # groups may overlap
-    points = PointSequence([[p[t] for p in pts] for t in range(len(pts[0]))])
+    pts, points = divided_rows(pts, data)
     assert affine_intersection_dim(points, groups) == affine_intersection_dim_by_ranks(pts, groups)
+
+
+@given(special_point_sets(dims=(1, 2, 3), span=40), st.integers(2, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_strong_general_position_matches_family_oracle(pts, r, data):
+    pts, points = divided_rows(pts, data)
+    assert is_strong_general_position(points, r) == is_strong_general_position_by_ranks(pts, r)
 
 
 def test_disjoint_families_match_labeling_walk():
@@ -448,7 +485,7 @@ def test_moment_curve_strong_general_position_depends_on_parameters():
 def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypatch):
     sup, _ = super_instance(1, 4)
     n = sup.points.length
-    calls = {"rank": 0, "solution_dim": 0}
+    calls = {"rank": 0, "_grid_solution_dim": 0}
     for name in calls:
 
         def counted(*args, name=name, real=getattr(partitions, name)):
@@ -460,7 +497,7 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
     families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
     # one hull rank per nonempty subset, one elimination of [M | b] per family
     assert calls["rank"] == 2**n - 1 == 127
-    assert calls["solution_dim"] == families == 3844
+    assert calls["_grid_solution_dim"] == families == 3844
 
 
 def test_det_sign_route_columns_match_cramer():
