@@ -186,16 +186,23 @@ def _eliminate(grid: list, width: int) -> tuple:
     return pivots, sign
 
 
+def _grid_det(grid: list):
+    """Determinant of a square integer grid, eliminated in place; 1 when empty."""
+    n = len(grid)
+    if not n:
+        return 1
+    pivots, sign = _eliminate(grid, n)
+    if len(pivots) < n:
+        return 0
+    return sign * grid[n - 1][pivots[-1]]
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     if not m.is_square:
         raise DimensionError("determinant needs a square matrix")
     grid, scales = _scaled_int_rows(m)
-    n = m.rows
-    pivots, sign = _eliminate(grid, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * int(grid[n - 1][pivots[-1]]), prod(scales))
+    return Fraction(int(_grid_det(grid)), prod(scales))
 
 
 def det_sign(m: Matrix) -> int:

@@ -18,9 +18,10 @@ from .exact import (
     DimensionError,
     Matrix,
     SingularMatrixError,
+    _grid_det,
     _grid_solution_dim,
     _scaled_int_rows,
-    det_sign,
+    _sign,
     rank,
     solve_linear,
 )
@@ -241,10 +242,14 @@ def decide_tverberg(
 ) -> TverbergVerdict:
     """Decide whether the classes' convex hulls share a point.
 
-    Solves the square system and demands every alpha strictly positive.  With
-    cross_check on, the determinant-sign route is run as well (alpha_i is a
-    ratio of two determinants, so positivity shows in matching signs) and any
-    disagreement raises CertificateMismatchError.
+    Solves the square system M x = b of build_system and demands every alpha
+    strictly positive.  With cross_check on, the determinant-sign route is run
+    as well: alpha_j = det(M_j) / det(M), M_j being M with column j replaced
+    by b, so positivity shows in matching signs.  That route does not
+    eliminate M: it reads the signs from the n maximal minors of one
+    (n-1) x n integer matrix K, det M_j = (-1)^(dn) (-1)^(1+j) det K^(j) with
+    K^(j) being K without column j (see _cramer_signs), and any disagreement
+    with the solve raises CertificateMismatchError.
 
     The criterion is meant for points in strong general position; partitions
     with an oversized class are rejected outright, since their hull
@@ -270,10 +275,7 @@ def decide_tverberg(
         verdict, reason = False, "negative-coefficient"
     base_sign = det_signs = None
     if cross_check:
-        base_sign = det_sign(system.matrix)
-        det_signs = tuple(
-            det_sign(system.matrix.with_column(col, system.rhs)) for col in range(n)
-        )
+        base_sign, det_signs = _cramer_signs(points, partition)
         for alpha, sign in zip(alphas, det_signs):
             if ((alpha > 0) - (alpha < 0)) != sign * base_sign:
                 raise CertificateMismatchError(
@@ -284,6 +286,43 @@ def decide_tverberg(
                 "determinant route disagrees with the positivity verdict"
             )
     return TverbergVerdict(verdict, reason, alphas, z, base_sign, det_signs)
+
+
+def _cramer_signs(points: PointSequence, partition: Partition) -> tuple:
+    """(sign det M, (sign det M_1, ..., sign det M_n)) for build_system's M.
+
+    With A_1..A_r the classes, K has a row for each class m >= 2 and each
+    lifted coordinate t = 0..d of (1, p_i); in column i it holds (1, p_i)[t]
+    for i in A_m, -(1, p_i)[t] for i in A_1, and 0 otherwise.  Subtracting
+    block 1's rows of M from every other block leaves each z column a single
+    -1 and turns b into e_1; expanding along the z columns and then the first
+    row gives, with K^(j) being K without column j (1-based):
+
+        det M_j = (-1)^(dn) (-1)^(1+j) det K^(j),
+        det M   = sum over j in A_1 of det M_j,
+
+    the second because M's first row is the indicator of A_1 and b_1 = 1.
+    K is built on the integer grid: scaling coordinate row t by s_t > 0
+    scales every minor by the same positive factor, so no sign changes.
+    """
+    d, n = points.dim, points.length
+    coords, _ = _scaled_int_rows(points.rows)
+    lifted = [[1] * n, *coords]
+    first, *others = partition.classes
+    k = []
+    for cls in others:
+        for values in lifted:
+            row = [0] * n
+            for i in first:
+                row[i - 1] = -values[i - 1]
+            for i in cls:
+                row[i - 1] = values[i - 1]
+            k.append(row)
+    dets = [
+        (-1) ** (d * n + j) * _grid_det([row[:j] + row[j + 1:] for row in k])
+        for j in range(n)
+    ]
+    return _sign(sum(dets[i - 1] for i in first)), tuple(map(_sign, dets))
 
 
 def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list:

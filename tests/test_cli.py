@@ -275,14 +275,13 @@ def test_unwritable_out_exits_two(capsys, tmp_path):
 
 
 def test_cross_check_failure_exits_three(capsys, monkeypatch, line_seq, good_partition):
-    real = partitions.det_sign
-    calls = []
+    real = partitions._cramer_signs
 
-    def flip_first(m):
-        calls.append(m)
-        return -real(m) if len(calls) == 1 else real(m)
+    def flip_first(points, partition):
+        base_sign, det_signs = real(points, partition)
+        return base_sign, (-det_signs[0], *det_signs[1:])
 
-    monkeypatch.setattr(partitions, "det_sign", flip_first)
+    monkeypatch.setattr(partitions, "_cramer_signs", flip_first)
     assert main(["check", "--seq", line_seq, "--partition", good_partition]) == 3
     assert "internal cross-check failed" in capsys.readouterr().err
 

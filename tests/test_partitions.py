@@ -1,4 +1,5 @@
 """Partitions, the common-point system, and the two decision routes."""
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from tverberg.partitions import (
     DegeneratePointsError,
     Partition,
     _disjoint_families,
+    _restricted_growth,
     affine_intersection_dim,
     blocks,
     build_system,
@@ -26,7 +28,13 @@ from tverberg.partitions import (
     partition_to_json,
     tverberg_number,
 )
-from tverberg.sequences import PointSequence, default_threshold, gen_moment_curve
+from tverberg.sequences import (
+    PointSequence,
+    default_threshold,
+    gen_moment_curve,
+    gen_power_sequence,
+    uniform_exponents,
+)
 
 from oracle_utils import (
     affine_intersection_dim_by_ranks,
@@ -149,6 +157,11 @@ def test_enumeration_is_deterministic():
 
 def test_partition_listing_count():
     assert len(enumerate_proper_partitions(10, 4, 3)) == 9100
+
+
+def test_thirteen_point_listing_count():
+    # the (2,5) rung: streamed, no Partition is built
+    assert sum(1 for _ in _restricted_growth(13, 5, 3)) == 800800
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +513,14 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
     assert calls["_grid_solution_dim"] == families == 3844
 
 
-def test_det_sign_route_columns_match_cramer():
+def _full_matrix_signs(points: PointSequence, p: Partition) -> tuple:
+    system = build_system(points, p)
+    return det_sign(system.matrix), tuple(
+        det_sign(system.matrix.with_column(j, system.rhs)) for j in range(points.length)
+    )
+
+
+def test_det_sign_route_columns_match_cramer(super_instance):
     # spot-check the determinant identity behind the cross-check
     points = radon_line()
     p = Partition(3, [[1, 3], [2]])
@@ -510,3 +530,25 @@ def test_det_sign_route_columns_match_cramer():
     for col in range(3):
         numerator = det(system.matrix.with_column(col, system.rhs))
         assert verdict.alphas[col] == numerator / base
+    # The cross-check reads the same signs from the maximal minors of K;
+    # det_sign on the full matrix and its column-replaced copies is the reference.
+    sequences_r = [(super_instance(d, r)[0].points, r) for d, r in ((1, 3), (2, 3), (3, 2))]
+    sequences_r.append((gen_power_sequence(2, uniform_exponents(1, 7)), 4))
+    rng = random.Random(15)
+    for d in (1, 2, 3):
+        for _ in range(4):
+            n = tverberg_number(2, d)
+            rows = [[Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(n)]
+                    for _ in range(d)]
+            sequences_r.append((PointSequence(rows), 2))
+    sequences_r.append((PointSequence([[1, 2, 2, 3, 5]]), 3))  # repeated: minors vanish
+    sequences_r.append((PointSequence([[5], [7]]), 1))  # one class: K has no rows
+    checked = zeros = 0
+    for points, r in sequences_r:
+        for p in enumerate_proper_partitions(points.length, r, points.dim + 1):
+            signs = _full_matrix_signs(points, p)
+            assert partitions._cramer_signs(points, p) == signs, (points, p)
+            checked += 1
+            zeros += 0 in signs[1]
+    assert checked == 15 + 175 + 15 + 105 + 4 * (3 + 7 + 15) + 15 + 1
+    assert zeros > 0
