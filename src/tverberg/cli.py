@@ -16,13 +16,13 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import _sign, scalar_str
+from .exact import scalar_str
 from .fillings import (
+    _dominant_sign,
     _grid_height,
     dominance_report,
     filling_to_json,
     find_dominant_filling,
-    monomial_value,
     sign_flip_witness,
 )
 from .partitions import (
@@ -118,6 +118,19 @@ def _grid_lines(filling) -> list:
     return lines
 
 
+def _check_fit(points: PointSequence, partition: Partition) -> None:
+    """Reject a partition whose size or class count does not fit the sequence."""
+    if partition.n != points.length:
+        raise InputError(
+            f"partition covers {partition.n} elements but the sequence has {points.length}"
+        )
+    r = _class_count(points)
+    if partition.r != r:
+        raise InputError(
+            f"the sequence shape expects a partition into r = {r} classes, got {partition.r}"
+        )
+
+
 def _derive_r(points: PointSequence, declared: Optional[int]) -> int:
     r = _class_count(points)
     if declared is not None and declared != r:
@@ -135,6 +148,8 @@ def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition]
         r = _derive_r(points, config.r)
         if config.d is not None and config.d != d:
             raise InputError(f"--d {config.d} contradicts the sequence file (d = {d})")
+        if partition is not None:
+            _check_fit(points, partition)
         q = config.q if config.q is not None else default_threshold(d, r)
         source = f"file {config.seq_path}"
     else:
@@ -153,10 +168,6 @@ def _resolve_instance(config: argparse.Namespace, partition: Optional[Partition]
         built = gen_super_dominant(d, r, config.q, base)
         points, q = built.points, built.q
         source = f"constructed super-dominant (base {base})"
-    if partition is not None and partition.n != points.length:
-        raise InputError(
-            f"partition covers {partition.n} elements but the sequence has {points.length}"
-        )
     return points, d, r, q, source
 
 
@@ -188,15 +199,7 @@ def cmd_gen(config: argparse.Namespace) -> int:
 def cmd_check(config: argparse.Namespace) -> int:
     points = _load_sequence(config.seq_path)
     partition = _load_partition(config.partition_path)
-    if partition.n != points.length:
-        raise InputError(
-            f"partition covers {partition.n} elements but the sequence has {points.length}"
-        )
-    r = _class_count(points)
-    if partition.r != r:
-        raise InputError(
-            f"the sequence shape expects a partition into r = {r} classes, got {partition.r}"
-        )
+    _check_fit(points, partition)
     verdict = decide_tverberg(points, partition)
     lines = []
     if verdict.is_tverberg:
@@ -298,9 +301,8 @@ def cmd_dominant(config: argparse.Namespace) -> int:
     agree = True
     for ell in range(1, partition.n + 1):
         filling = find_dominant_filling(partition, ell, profile)
-        mono = monomial_value(filling, points, coords)
         # the sign of the dominant term, which is sign det(M_ell)
-        sign = mono.sign * _sign(mono.value)
+        sign = _dominant_sign(filling, coords)
         lines.append("")
         lines.append(f"ell = {ell}  dominant monomial sign {sign:+d}")
         lines.extend(_grid_lines(filling))

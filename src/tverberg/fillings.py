@@ -456,6 +456,16 @@ def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Option
     return None
 
 
+def _dominant_sign(filling: Filling, row_coords: tuple) -> int:
+    """The sign of the filling's monomial when every lifted entry is positive.
+
+    That is the transversal parity times -1 per marker on a non-ones row; no
+    entry is multiplied.
+    """
+    parity, flips, _ = _transversal(filling, row_coords)
+    return -parity if flips % 2 else parity
+
+
 def _dominant_signs(partition: Partition, profile: DominanceProfile, row_coords: tuple) -> list:
     """sign det(M_ell) for ell = 1, 2, ..., up to the first that differs from ell = 1's.
 
@@ -463,14 +473,12 @@ def _dominant_signs(partition: Partition, profile: DominanceProfile, row_coords:
     which is the determinant's sign when the ordered lift, read in the order
     row_coords, is dominant at q >= default_threshold(d, r) under profile
     (criteria 4 and 5).  Every lifted entry of such a sequence is positive,
-    so the sign is the transversal parity times -1 per marker on a non-ones
-    row, and no entry is multiplied.  The partition is Tverberg exactly when
+    so the sign is _dominant_sign's.  The partition is Tverberg exactly when
     the list ends on the sign it starts with.
     """
     signs = []
     for ell in range(1, partition.n + 1):
-        parity, flips, _ = _transversal(find_dominant_filling(partition, ell, profile), row_coords)
-        signs.append(-parity if flips % 2 else parity)
+        signs.append(_dominant_sign(find_dominant_filling(partition, ell, profile), row_coords))
         if signs[-1] != signs[0]:
             break
     return signs

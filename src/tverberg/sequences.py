@@ -16,6 +16,7 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
@@ -220,11 +221,22 @@ def ordered_lift(points: PointSequence, q: ScalarLike):
 
     Returns (ordered, row_coords) where ordered is the lifted sequence with
     rows rearranged slowest-first and row_coords[k] is the 0-based lifted
-    coordinate sitting at ordered position k.  Raises ValueError when the
-    lifted rows cannot be totally ordered at threshold q.
+    coordinate sitting at ordered position k.  A row's growth is its last
+    entry over its first, compared by cross products (no division) on the
+    route q picks (_growth_scale); ties keep row order.  If some row order
+    makes the lift ordered at q >= 1, each later row outgrows each earlier
+    one over the whole sequence, so the sort finds that order; the order is
+    checked by dominance_profile, not here.  At q < 1 several orders can
+    pass, and the sort may pick another than a pairwise tournament would.
     """
     lifted = lift(points)
-    coords = tuple(t - 1 for t in order_permutation(lifted, q))
+    grid, _, times, _ = _growth_scale(lifted, scalar(q))
+
+    def faster(t: int, s: int) -> int:
+        x, y = times(grid[t][-1], grid[s][0]), times(grid[s][-1], grid[t][0])
+        return (x > y) - (x < y)
+
+    coords = tuple(sorted(range(lifted.dim), key=cmp_to_key(faster)))
     return lifted._pick(coords, range(lifted.length)), coords
 
 
@@ -259,44 +271,6 @@ def gen_super_dominant(d: int, r: int, q: Optional[ScalarLike] = None, base: Sca
 
 # ---------------------------------------------------------------------------
 # growth predicates
-
-
-def _outgrowth_counts(a: PointSequence, q: ScalarLike) -> Optional[list]:
-    """Per row, how many rows it outgrows by q; None unless pseudo-geometric."""
-    if a.dim < 2:
-        raise ValueError("pseudo-geometric needs at least two coordinate rows")
-    if not a.is_positive:
-        return None
-    grid, quotient, _, beats = _growth_scale(a, scalar(q))
-    counts = [0] * a.dim
-    for t, s in combinations(range(a.dim), 2):
-        ratio = [quotient(x, y) for x, y in zip(grid[t], grid[s])]
-        steps = list(zip(ratio, ratio[1:]))
-        up = all(beats(y, x) for x, y in steps)
-        down = all(beats(x, y) for x, y in steps)
-        if not (up or down):
-            return None
-        counts[t] += up
-        counts[s] += down
-    return counts
-
-
-def order_permutation(a: PointSequence, q: ScalarLike) -> tuple:
-    """Rows sorted from slowest to fastest growth, as 1-based row indices.
-
-    Requires a pseudo-geometric sequence; the result perm satisfies: reordering
-    rows as a.rows[perm[0]-1], a.rows[perm[1]-1], ... yields an ordered
-    sequence (each consecutive-row ratio q-increasing).
-    """
-    threshold = scalar(q)
-    counts = _outgrowth_counts(a, threshold)
-    if counts is None:
-        raise NotDominantError("sequence is not pseudo-geometric; rows cannot be ordered")
-    perm = tuple(t + 1 for t in sorted(range(a.dim), key=counts.__getitem__))
-    reordered = a._pick([t - 1 for t in perm], range(a.length))
-    if not is_ordered(reordered, threshold):
-        raise ValueError("pairwise growth comparisons do not form a total order")
-    return perm
 
 
 def is_ordered(a: PointSequence, q: ScalarLike) -> bool:
@@ -357,8 +331,41 @@ class _RatioTable:
         """Every consecutive-row ratio sequence is q-increasing."""
         return all(self.beats(y, x) for row in self.ratios for x, y in zip(row, row[1:]))
 
+    def relation(self, t: int, s: int) -> Relation:
+        """classify_pair on this table, for valid coordinates t != s.
 
-def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optional[_RatioTable] = None) -> Relation:
+        The triples are not enumerated.  With g, h the ratio rows of t and s,
+        the early fraction beats q exactly when g_j*h_j beats g_i*h_k, the
+        late one when g_k*h_i beats g_j*h_j.  At a fixed middle j, i < j and
+        k > j vary independently over positive ratios, so the varying product
+        lies between min*min and max*max of the rows before and after j, both
+        attained; and each verdict (high, low, neither) holds on an interval
+        of it, as "beats" holds on a half-line in each argument for any q.  So
+        all triples through j share a verdict exactly when those two products
+        do.
+        """
+        g, h = self.ratios[t - 1], self.ratios[s - 1]
+
+        def verdict(top, bottom):
+            return "high" if self.beats(top, bottom) else "low" if self.beats(bottom, top) else None
+
+        early, late = set(), set()
+        for j in range(1, len(g) - 1):
+            middle = self.times(g[j], h[j])
+            for pick in (min, max):
+                early.add(verdict(middle, self.times(pick(g[:j]), pick(h[j + 1:]))))
+                late.add(verdict(self.times(pick(g[j + 1:]), pick(h[:j])), middle))
+            if None in early | late or len(early) > 1 or len(late) > 1:
+                return Relation.INCONSISTENT
+        return {
+            ("low", "low"): Relation.PRECEDES,
+            ("high", "high"): Relation.SUCCEEDED_BY,
+            ("high", "low"): Relation.LEFT_SIMILAR,
+            ("low", "high"): Relation.RIGHT_SIMILAR,
+        }[(early.pop(), late.pop())]
+
+
+def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int) -> Relation:
     """Classify how coordinate t relates to coordinate s.
 
     For every i < j < k two fractions are compared against [1/q, q]:
@@ -377,16 +384,8 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
     t with s, so left and right similarity are mirror images of each other.
 
     Any fraction landing inside [1/q, q], or a verdict that flips between
-    triples, classifies as inconsistent.
-
-    The triples are not enumerated.  With g, h the ratio rows of t and s,
-    the early fraction beats q exactly when g_j*h_j beats g_i*h_k, the late
-    one when g_k*h_i beats g_j*h_j.  At a fixed middle j, i < j and k > j
-    vary independently over positive ratios, so the varying product lies
-    between min*min and max*max of the rows before and after j, both
-    attained; and each verdict (high, low, neither) holds on an interval of
-    it, as "beats" holds on a half-line in each argument for any q.  So all
-    triples through j share a verdict exactly when those two products do.
+    triples, classifies as inconsistent.  The triples are decided at their
+    extremes (_RatioTable.relation).
     """
     if a.length < 3:
         raise ValueError("classification needs at least three positions")
@@ -395,28 +394,9 @@ def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int, _table: Optio
     for c in (t, s):
         if not 1 <= c < a.dim:
             raise IndexError(f"coordinate {c} out of range 1..{a.dim - 1}")
-    if _table is None and not a.is_positive:
+    if not a.is_positive:
         raise ValueError("classification needs positive entries")
-    table = _table if _table is not None else _RatioTable(a, scalar(q))
-    g, h = table.ratios[t - 1], table.ratios[s - 1]
-
-    def verdict(top, bottom):
-        return "high" if table.beats(top, bottom) else "low" if table.beats(bottom, top) else None
-
-    early, late = set(), set()
-    for j in range(1, a.length - 1):
-        middle = table.times(g[j], h[j])
-        for pick in (min, max):
-            early.add(verdict(middle, table.times(pick(g[:j]), pick(h[j + 1:]))))
-            late.add(verdict(table.times(pick(g[j + 1:]), pick(h[:j])), middle))
-        if None in early | late or len(early) > 1 or len(late) > 1:
-            return Relation.INCONSISTENT
-    return {
-        ("low", "low"): Relation.PRECEDES,
-        ("high", "high"): Relation.SUCCEEDED_BY,
-        ("high", "low"): Relation.LEFT_SIMILAR,
-        ("low", "high"): Relation.RIGHT_SIMILAR,
-    }[(early.pop(), late.pop())]
+    return _RatioTable(a, scalar(q)).relation(t, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,10 +437,12 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
         raise ValueError("a profile needs at least two coordinate rows")
     if not a.is_positive or not (table := _RatioTable(a, threshold)).is_ordered():
         raise NotDominantError("sequence is not ordered with q-increasing ratios")
+    if gaps > 1 and a.length < 3:
+        raise ValueError("classification needs at least three positions")
     relations = {}
     for t in range(1, gaps + 1):
         for s in range(t + 1, gaps + 1):
-            rel = classify_pair(a, threshold, t, s, _table=table)
+            rel = table.relation(t, s)
             if rel is Relation.INCONSISTENT:
                 raise NotDominantError(f"coordinates ({t}, {s}) classify inconsistently")
             relations[(t, s)] = rel
@@ -509,8 +491,10 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
 def _certified_profile(points: PointSequence, q: ScalarLike) -> tuple:
     """(profile, row_coords) of the ordered lift of the points at q.
 
-    The certificate of the dominant route: the lift, its rows reordered by
-    ordered_lift, must be dominant at q.  Raises NotDominantError otherwise.
+    The certificate of the dominant route: the lift, its rows sorted by
+    growth (ordered_lift), must be dominant at q.  dominance_profile is the
+    one check of that order, on the one ratio table it builds.  Raises
+    NotDominantError otherwise.
     """
     ordered, coords = ordered_lift(points, q)
     return dominance_profile(ordered, q), coords

@@ -232,6 +232,37 @@ def classify_pair_by_triples(a, q, t, s):
     }[(*seen["early"], *seen["late"])]
 
 
+def order_by_outgrowth(a, q):
+    """The rows of a, slowest first, as 0-based indices, by a tournament.
+
+    Row t outgrows row s when the ratio row t / row s is q-increasing.  Every
+    pair of rows must go one way or the other, the rows are sorted by how
+    many rows each outgrows, and each row must outgrow the one before it in
+    that order.  None when an entry is not positive or either step fails.
+    Uses only Fraction division and comparison.
+    """
+    q = Fraction(q)
+    rows = a.rows
+    if any(x <= 0 for row in rows for x in row):
+        return None
+
+    def outgrows(t, s):
+        ratio = [x / y for x, y in zip(rows[t], rows[s])]
+        return all(y > q * x for x, y in zip(ratio, ratio[1:]))
+
+    counts = [0] * len(rows)
+    for t, s in combinations(range(len(rows)), 2):
+        up, down = outgrows(t, s), outgrows(s, t)
+        if not (up or down):
+            return None
+        counts[t] += up
+        counts[s] += down
+    order = sorted(range(len(rows)), key=counts.__getitem__)
+    if not all(outgrows(v, u) for u, v in zip(order, order[1:])):
+        return None
+    return tuple(order)
+
+
 def stirling2(n, k):
     """Stirling number of the second kind, by the textbook recurrence."""
     if n == 0 or k == 0:

@@ -464,3 +464,17 @@ def test_instance_shape_mismatch_exits_two(capsys, tmp_path, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("command", ["check", "dominant", "witness"])
+@pytest.mark.parametrize("classes", [[[1], [2], [3], [4]], [[1, 2], [3], [4]]])
+def test_partition_class_count_must_fit_the_sequence(capsys, tmp_path, command, classes):
+    # A (2,2) file splits into r = 2 classes; every command that reads a
+    # partition beside it says so in the same words.
+    seq = write_json(tmp_path / "s.json", sequences.sequence_to_json(gen_super_dominant(2, 2).points))
+    part = write_json(tmp_path / "p.json", {"n": 4, "classes": classes})
+    assert main([command, "--seq", seq, "--partition", part]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"the sequence shape expects a partition into r = 2 classes, got {len(classes)}"
+    assert captured.err.strip().splitlines()[-1] == f"error: {expected}"

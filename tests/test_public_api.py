@@ -1,6 +1,7 @@
 """The names the package exports from its top level."""
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import tverberg
@@ -29,7 +30,7 @@ PUBLIC = {
     "Relation", "SuperDominantSequence", "chain_exponents", "default_threshold",
     "dominance_profile", "gen_moment_curve", "gen_power_sequence", "gen_super_dominant",
     "growth_product", "growth_ratio", "is_dominant", "is_ordered", "lift",
-    "order_permutation", "ordered_lift", "product_config_admissible",
+    "ordered_lift", "product_config_admissible",
     "sequence_from_json", "sequence_to_json", "solve_prescribed_zeros",
     "uniform_exponents", "verify_pinned_combination",
 }
@@ -74,3 +75,27 @@ def test_bench_spans_name_live_functions():
         if not callable(getattr(importlib.import_module(f"tverberg.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_private_definitions_are_referenced():
+    # A private module-level function or class that nothing else in the
+    # package names is dead code left behind by a deletion.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(INIT.parent.glob("*.py"))}
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    used = Counter(name for tree in trees.values() for name in names(tree))
+    unused = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and used[node.name] == Counter(names(node))[node.name]
+    ]
+    assert unused == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import classify_pair_by_triples
+from oracle_utils import classify_pair_by_triples, order_by_outgrowth
 from tverberg import sequences
 from tverberg.sequences import (
     NotDominantError,
@@ -24,7 +24,6 @@ from tverberg.sequences import (
     is_dominant,
     is_ordered,
     lift,
-    order_permutation,
     ordered_lift,
     sequence_from_json,
     sequence_to_json,
@@ -156,45 +155,51 @@ def test_growth_ratio_frozen():
         growth_ratio(a, 2, 1, 2)
 
 
+# The order permutation of a lift is ordered_lift's row_coords; the rows
+# are sorted by growth, and dominance_profile checks the order.
 def test_is_ordered_and_pseudo_geometric():
     a = gen_power_sequence(2, chain_exponents(3, 5, 2, 3))
     assert is_ordered(a, 3)
-    assert order_permutation(a, 3) == (1, 2, 3)
+    assert ordered_lift(a._pick([1, 2], range(a.length)), 3)[1] == (0, 1, 2)
     shuffled = PointSequence([a.rows[2], a.rows[0], a.rows[1]])
     assert not is_ordered(shuffled, 3)
-    assert order_permutation(shuffled, 3) == (2, 3, 1)
+    assert ordered_lift(a._pick([2, 1], range(a.length)), 3)[1] == (0, 2, 1)
 
 
 def test_order_permutation_identity_on_ordered_input():
     a = gen_power_sequence(2, chain_exponents(4, 5, 2, 3))
-    assert order_permutation(a, 3) == (1, 2, 3, 4)
+    assert ordered_lift(a._pick([1, 2, 3], range(a.length)), 3)[1] == (0, 1, 2, 3)
 
 
 def test_order_permutation_recovers_shuffle():
     a = gen_power_sequence(2, chain_exponents(4, 5, 2, 3))
-    shuffle = (3, 1, 4, 2)  # new row p came from old row shuffle[p]
-    shuffled = PointSequence([a.rows[s - 1] for s in shuffle])
-    perm = order_permutation(shuffled, 3)
-    assert tuple(shuffle[p - 1] for p in perm) == (1, 2, 3, 4)
+    shuffle = (3, 1, 4, 2)  # point row p came from chain row shuffle[p]
+    _, coords = ordered_lift(PointSequence([a.rows[s - 1] for s in shuffle]), 3)
+    # the lift's ones row ties with chain row 1, also all ones, and keeps its place
+    origin = (1,) + shuffle
+    assert coords == (0, 2, 4, 1, 3)
+    assert tuple(origin[c] for c in coords) == (1, 1, 2, 3, 4)
 
 
 def test_order_permutation_on_decaying_coordinates():
     # one point coordinate shrinking geometrically: the ones row of the lift
     # grows faster, so it sorts last
     points = PointSequence([[Fraction(1, 2**(3 * i)) for i in range(1, 5)]])
-    lifted = lift(points)
-    assert order_permutation(lifted, 3) == (2, 1)
+    assert ordered_lift(points, 3)[1] == (1, 0)
 
 
 def test_order_permutation_ties_on_length_one_rows():
-    # one position: every row pair is q-monotone both ways, so all rows tie
-    assert order_permutation(PointSequence([[5], [1], [3]]), 2) == (1, 2, 3)
+    # one position: every row grows by a factor 1, so all rows tie
+    assert ordered_lift(PointSequence([[5], [1], [3]]), 2)[1] == (0, 1, 2, 3)
 
 
 def test_order_permutation_rejects_non_pseudo_geometric():
-    a = PointSequence([[1, 1, 1], [1, 2, 1]])
-    with pytest.raises(ValueError):
-        order_permutation(a, 2)
+    # the point row rises and falls against the ones row: no order of the
+    # two lifted rows is ordered, and the one check of the order says so
+    points = PointSequence([[1, 2, 1]])
+    assert ordered_lift(points, 2)[1] == (0, 1)
+    with pytest.raises(NotDominantError, match="not ordered"):
+        sequences._certified_profile(points, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,7 @@ P, S, L, R = (
 def profile_from_relations(monkeypatch, table, gaps=None):
     """dominance_profile of an ordered chain whose pairs t < s classify as table[(t, s)]."""
     gaps = gaps or max(s for _, s in table)
-    monkeypatch.setattr(sequences, "classify_pair", lambda a, q, t, s, _table=None: table[(t, s)])
+    monkeypatch.setattr(sequences._RatioTable, "relation", lambda self, t, s: table[(t, s)])
     return dominance_profile(gen_power_sequence(2, chain_exponents(gaps + 1, 4, 2, 3)), 3)
 
 
@@ -628,7 +633,13 @@ def growth_outcomes(a, q):
             return got.classes, got.kinds, got.order, got.relations
         return got
 
-    predicates = [is_ordered, sequences._outgrowth_counts, order_permutation, dominance_profile, is_dominant]
+    predicates = [
+        is_ordered,
+        lambda a, q: ordered_lift(a, q)[1],
+        lambda a, q: sequences._certified_profile(a, q)[0],
+        dominance_profile,
+        is_dominant,
+    ]
     found = [outcome(lambda: predicate(a, q)) for predicate in predicates]
     if a.dim >= 3:
         found.append(outcome(lambda: classify_pair(a, q, 1, 2)))
@@ -649,3 +660,80 @@ def test_exponent_route_matches_fraction_route():
         cases += len(expected)
         dominant += expected[4] is True
     assert cases >= 5000 and dominant >= 100
+
+
+CERTIFY_QS = [Fraction(x) for x in ("1", "3/2", "2", "3", "721")]
+
+
+def certified_outcome(points, q):
+    """(coords, classes, kinds, order, relations) of the certificate, or the error class."""
+    try:
+        profile, coords = sequences._certified_profile(points, q)
+    except ValueError as exc:
+        return type(exc)
+    return coords, profile.classes, profile.kinds, profile.order, profile.relations
+
+
+def tournament_outcome(points, q):
+    """certified_outcome with the lifted rows ordered by the pairwise tournament."""
+    lifted = lift(points)
+    coords = order_by_outgrowth(lifted, q)
+    if coords is None:
+        return NotDominantError
+    try:
+        profile = dominance_profile(lifted._pick(coords, range(lifted.length)), q)
+    except ValueError as exc:
+        return type(exc)
+    return coords, profile.classes, profile.kinds, profile.order, profile.relations
+
+
+def test_growth_sort_certifies_like_the_tournament():
+    # At q >= 1 an ordered row order, when one exists, is the only one, so
+    # sorting by growth over the whole sequence must find what the pairwise
+    # tournament finds, on both the Fraction and the exponent route.
+    rng = random.Random(16)
+    outcomes = []
+    for _ in range(2000):
+        base = rng.choice([Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5)])
+        q = rng.choice(CERTIFY_QS)
+        table = random_exponent_table(rng, base, q)
+        plain = PointSequence([[base**e for e in row] for row in table])
+        tabled = sequences._carrying(PointSequence(plain.rows), base, tuple(map(tuple, table)))
+        expected = tournament_outcome(plain, q)
+        for points in (plain, tabled):
+            assert certified_outcome(points, q) == expected, (base, q, table)
+        outcomes.append(expected)
+    accepted = [found[0] for found in outcomes if type(found) is tuple]
+    reordered = [coords for coords in accepted if coords != tuple(sorted(coords))]
+    assert len(accepted) >= 100 and len(reordered) >= 10
+    assert outcomes.count(NotDominantError) >= 1000
+
+
+def test_certificate_builds_one_ratio_table(monkeypatch):
+    built = 0
+
+    class CountedTable(sequences._RatioTable):
+        def __init__(self, a, q):
+            nonlocal built
+            built += 1
+            super().__init__(a, q)
+
+    monkeypatch.setattr(sequences, "_RatioTable", CountedTable)
+    sup = gen_super_dominant(2, 3)
+    shuffled = sup.points._pick([1, 0], range(sup.points.length))
+    uniform = gen_power_sequence(2, uniform_exponents(2, 7))
+    for points, certifies in (
+        (sup.points, True),
+        (PointSequence(sup.points.rows), True),
+        (shuffled, True),
+        (uniform, False),
+        (PointSequence([[1, 2, 1]]), False),
+    ):
+        built = 0
+        try:
+            sequences._certified_profile(points, sup.q)
+        except NotDominantError:
+            assert not certifies
+        else:
+            assert certifies
+        assert built == 1
