@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, NamedTuple, Sequence
 
-from .exact import _sign, det, scalar
+from .exact import _scaled_int_rows, _sign, det, scalar
 from .partitions import (
     Partition,
     _position,
@@ -138,12 +139,15 @@ def canonical_filling(partition: Partition, ell: int, z_columns: Sequence[int]) 
     return Filling(partition, ell, grid)
 
 
-def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bool = False) -> list:
-    """Every filling of the class grid, in a fixed deterministic order.
+def _transversals(partition: Partition, ell: int):
+    """The fillings of the class grid, one marker pattern at a time.
 
     Marker patterns (the class column of each row's marker) come in
-    lexicographic order; unless increasing_only is set, each pattern further
-    expands into all per-column arrangements of its elements.
+    lexicographic order.  Each yields one list per class of the ways its
+    elements fill the class's free rows, in itertools.permutations order of
+    the sorted elements: (sign, cells), the permutation's sign and its
+    (grid row, element) pairs.  The first way is the increasing one, and
+    itertools.product over the lists runs every filling of the pattern.
     """
     r = partition.r
     height = _grid_height(partition)
@@ -151,25 +155,42 @@ def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bo
     need = [height - len(cls) for cls in members]
     if any(z < 0 for z in need):
         raise InvalidFillingError("a class has more elements than grid rows")
-
-    results = []
+    orders = [
+        [(_perm_sign(idx), [cls[i] for i in idx]) for idx in itertools.permutations(range(len(cls)))]
+        for cls in members
+    ]
     for zcols in itertools.product(range(1, r + 1), repeat=height):
         if any(zcols.count(m) != need[m - 1] for m in range(1, r + 1)):
             continue
-        if increasing_only:
-            results.append(canonical_filling(partition, ell, zcols))
-            continue
-        free_rows = [
-            [k for k in range(height) if zcols[k] != m] for m in range(1, r + 1)
+        free = [[k for k in range(height) if zcols[k] != m] for m in range(1, r + 1)]
+        yield [
+            [(sign, tuple(zip(rows, elements))) for sign, elements in order]
+            for rows, order in zip(free, orders)
         ]
-        for arrangement in itertools.product(
-            *(itertools.permutations(cls) for cls in members)
-        ):
-            grid = [[None] * r for _ in range(height)]
-            for m in range(r):
-                for k, e in zip(free_rows[m], arrangement[m]):
-                    grid[k][m] = e
-            results.append(Filling(partition, ell, grid))
+
+
+def _grid(height: int, cells_by_class) -> list:
+    """The filling grid of one placement per class; cells left empty are the markers."""
+    grid = [[None] * len(cells_by_class) for _ in range(height)]
+    for m, cells in enumerate(cells_by_class):
+        for k, e in cells:
+            grid[k][m] = e
+    return grid
+
+
+def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bool = False) -> list:
+    """Every filling of the class grid, in a fixed deterministic order.
+
+    Marker patterns (the class column of each row's marker) come in
+    lexicographic order; unless increasing_only is set, each pattern further
+    expands into all per-column arrangements of its elements.
+    """
+    height = _grid_height(partition)
+    results = []
+    for arrangements in _transversals(partition, ell):
+        choices = itertools.product(*arrangements)
+        for choice in [next(choices)] if increasing_only else choices:
+            results.append(Filling(partition, ell, _grid(height, [cells for _, cells in choice])))
     return results
 
 
@@ -183,13 +204,16 @@ class Monomial(NamedTuple):
     sign: int
 
 
-def _check_row_coords(filling: Filling, row_coords) -> tuple:
-    height = filling.d + 1
+def _row_order(height: int, n: int, points: Optional[PointSequence], row_coords) -> tuple:
+    """row_coords as a tuple (identity when None), checked against the grid and the points."""
     if row_coords is None:
-        return tuple(range(height))
-    coords = tuple(int(c) for c in row_coords)
-    if sorted(coords) != list(range(height)):
-        raise ValueError(f"row_coords must permute 0..{height - 1}")
+        coords = tuple(range(height))
+    else:
+        coords = tuple(int(c) for c in row_coords)
+        if sorted(coords) != list(range(height)):
+            raise ValueError(f"row_coords must permute 0..{height - 1}")
+    if height > 1 and (points is None or points.dim != height - 1 or points.length != n):
+        raise ValueError(f"points must be a {height - 1}-dimensional sequence of length {n}")
     return coords
 
 
@@ -210,25 +234,25 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _transversal(filling: Filling, coords: tuple) -> tuple:
-    """(parity, flips, reads) of the filling's transversal under the row order.
+def _transversal(grid: Sequence[Sequence], ell: int, n: int, coords: tuple) -> tuple:
+    """(parity, flips, reads) of a filling grid's transversal under the row order.
 
     parity is the sign of the transversal as a permutation of the original
     system matrix, flips the number of markers on non-ones rows (each picks
     a -1 entry), and reads the (coordinate, element) pairs of the point
     entries it multiplies.
     """
-    n, d = filling.partition.n, filling.d
-    perm = [0] * ((d + 1) * filling.r)
+    height, r = len(grid), len(grid[0])
+    perm = [0] * (height * r)
     reads = []
     flips = 0
-    for m in range(1, filling.r + 1):
-        base = (m - 1) * (d + 1)
-        for k, row in enumerate(filling.grid):
+    for m in range(1, r + 1):
+        base = (m - 1) * height
+        for k, row in enumerate(grid):
             cell = row[m - 1]
             if cell is None:
                 if coords[k] == 0:
-                    column = filling.ell - 1
+                    column = ell - 1
                 else:
                     flips += 1
                     column = n + coords[k] - 1
@@ -249,12 +273,9 @@ def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords
     original system matrix, so summing sign*value over every valid filling
     reproduces det(M_ell) whatever the row order.
     """
-    coords = _check_row_coords(filling, row_coords)
-    n, d = filling.partition.n, filling.d
-    if any(c > 0 for c in coords) and (points is None or points.dim != d or points.length != n):
-        raise ValueError(f"points must be a {d}-dimensional sequence of length {n}")
-
-    parity, flips, reads = _transversal(filling, coords)
+    n = filling.partition.n
+    coords = _row_order(filling.d + 1, n, points, row_coords)
+    parity, flips, reads = _transversal(filling.grid, filling.ell, n, coords)
     value = Fraction(-1 if flips % 2 else 1)
     for t, i in reads:
         value *= points.entry(t, i)
@@ -462,7 +483,7 @@ def _dominant_sign(filling: Filling, row_coords: tuple) -> int:
     That is the transversal parity times -1 per marker on a non-ones row; no
     entry is multiplied.
     """
-    parity, flips, _ = _transversal(filling, row_coords)
+    parity, flips, _ = _transversal(filling.grid, filling.ell, filling.partition.n, row_coords)
     return -parity if flips % 2 else parity
 
 
@@ -514,36 +535,69 @@ def dominance_report(
     """Check the dominant-monomial claims exhaustively on one instance.
 
     Enumerates all monomials of det(M_ell), finds the largest by absolute
-    value, and records violations when it fails to dominate the runner-up by
-    a factor q, disagrees in sign with the determinant, or (as a self-check)
-    when the signed monomials fail to sum to the determinant.  The grid rows
-    read the lifted coordinates in the order row_coords, as ordered_lift
-    returns it.
+    value (the first in enumeration order on a tie), and records violations
+    when it fails to dominate the runner-up by a factor q, disagrees in sign
+    with the determinant, or (as a self-check) when the signed monomials fail
+    to sum to the determinant.  The grid rows read the lifted coordinates in
+    the order row_coords, as ordered_lift returns it.
+
+    The monomials multiply integers: each coordinate row scaled by the lcm
+    lambda_t of its denominators, a marker on row t > 0 reading -lambda_t.
+    A grid row holds r - 1 entries and one marker, so every monomial carries
+    the factor prod lambda_t**r, divided out once at the end.  A monomial's
+    sign is the parity of its marker pattern's increasing filling times the
+    sign of each class's arrangement.  The determinant comes from
+    build_system and det, a separate route.
     """
     threshold = scalar(q)
-    monomials = [
-        monomial_value(f, points, row_coords)
-        for f in enumerate_valid_fillings(partition, ell)
-    ]
-    ranked = sorted(monomials, key=lambda mono: abs(mono.value), reverse=True)
-    top = ranked[0]
-    runner_up = abs(ranked[1].value) if len(ranked) > 1 else None
-
+    n = partition.n
+    height = _grid_height(partition)
+    if not 1 <= _position(ell) <= n:
+        raise InvalidFillingError(f"ell={ell} is not a position in 1..{n}")
+    coords = _row_order(height, n, points, row_coords)
     system = build_system(points, partition)
-    m_ell = system.matrix.with_column(ell - 1, system.rhs)
-    determinant = det(m_ell)
+    determinant = det(system.matrix.with_column(ell - 1, system.rhs))
+
+    ints, scales = _scaled_int_rows(points.rows)
+    lifted = [[1] * n, *ints]
+    scale = prod(scales) ** partition.r
+    markers = prod(-s for s in scales)  # one marker on each row but the ones row
+    count, total = 0, 0
+    best = second = -1
+    for arrangements in _transversals(partition, ell):
+        increasing = _grid(height, [ways[0][1] for ways in arrangements])
+        monomials = [(_transversal(increasing, ell, n, coords)[0], markers, ())]
+        for ways in arrangements:  # class by class, in itertools.product order
+            priced = [(s, prod(lifted[coords[k]][e - 1] for k, e in cells), cells) for s, cells in ways]
+            monomials = [
+                (sign * s, value * v, placed + (cells,))
+                for sign, value, placed in monomials
+                for s, v, cells in priced
+            ]
+        for sign, value, placed in monomials:
+            count += 1
+            total += sign * value
+            size = abs(value)
+            if size > best:
+                best, second, top = size, best, (sign, value, placed)
+            elif size > second:
+                second = size
+
+    top_parity, top_value, placed = top
+    dominant_value = Fraction(int(top_value), scale)
+    runner_up = Fraction(int(second), scale) if count > 1 else None
+    total = Fraction(int(total), scale)
 
     violations = []
-    if runner_up is not None and abs(top.value) <= threshold * runner_up:
+    if runner_up is not None and abs(dominant_value) <= threshold * runner_up:
         violations.append(
-            f"max-not-dominant: |{top.value}| <= {threshold} * {runner_up}"
+            f"max-not-dominant: |{dominant_value}| <= {threshold} * {runner_up}"
         )
-    top_sign = top.sign * (1 if top.value > 0 else -1 if top.value < 0 else 0)
+    top_sign = top_parity * _sign(top_value)
     if top_sign != _sign(determinant):
         violations.append(
             f"sign-mismatch: dominant contributes {top_sign}, determinant sign is {_sign(determinant)}"
         )
-    total = sum(mono.sign * mono.value for mono in monomials)
     if total != determinant:
         violations.append(f"sum-mismatch: monomials total {total}, determinant is {determinant}")
 
@@ -551,10 +605,10 @@ def dominance_report(
         ell=ell,
         q=threshold,
         row_coords=tuple(row_coords),
-        monomial_count=len(monomials),
-        dominant=top.filling,
-        dominant_value=top.value,
-        dominant_sign=top.sign,
+        monomial_count=count,
+        dominant=Filling(partition, ell, _grid(height, placed)),
+        dominant_value=dominant_value,
+        dominant_sign=top_parity,
         runner_up=runner_up,
         determinant=determinant,
         violations=tuple(violations),

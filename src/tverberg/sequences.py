@@ -427,9 +427,11 @@ class DominanceProfile:
 def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
     """Classify all coordinate pairs and assemble the total dominance order.
 
-    Raises NotDominantError if the sequence is not ordered, any pair is
-    inconsistent, a pair disagrees with the ranks (the number of coordinates
-    preceding each), or a similarity class mixes left and right kinds.
+    Raises NotDominantError if the sequence is not ordered, has two or more
+    gaps but fewer than three positions (no pair classifies without a
+    triple), any pair is inconsistent, a pair disagrees with the ranks (the
+    number of coordinates preceding each), or a similarity class mixes left
+    and right kinds.
     """
     threshold = scalar(q)
     gaps = a.dim - 1
@@ -438,7 +440,7 @@ def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:
     if not a.is_positive or not (table := _RatioTable(a, threshold)).is_ordered():
         raise NotDominantError("sequence is not ordered with q-increasing ratios")
     if gaps > 1 and a.length < 3:
-        raise ValueError("classification needs at least three positions")
+        raise NotDominantError("no coordinate pair classifies without three positions")
     relations = {}
     for t in range(1, gaps + 1):
         for s in range(t + 1, gaps + 1):

@@ -7,6 +7,9 @@ enumeration for combinatorial counts.  Slow but hard to get wrong.
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from tverberg.exact import det, scalar
+from tverberg.fillings import DominanceReport, enumerate_valid_fillings, monomial_value
+from tverberg.partitions import build_system
 from tverberg.sequences import Relation, growth_ratio
 
 
@@ -268,3 +271,55 @@ def stirling2(n, k):
     if n == 0 or k == 0:
         return int(n == k)
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def dominance_report_by_monomials(points, partition, ell, q, row_coords):
+    """dominance_report by the composition it was first written as.
+
+    Every filling from enumerate_valid_fillings is priced with
+    monomial_value (a validated Filling and a Fraction product each), the
+    monomials are sorted by absolute value, stably, and the signed values
+    are summed; the determinant comes from build_system and det.
+    """
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    threshold = scalar(q)
+    monomials = [
+        monomial_value(f, points, row_coords)
+        for f in enumerate_valid_fillings(partition, ell)
+    ]
+    ranked = sorted(monomials, key=lambda mono: abs(mono.value), reverse=True)
+    top = ranked[0]
+    runner_up = abs(ranked[1].value) if len(ranked) > 1 else None
+
+    system = build_system(points, partition)
+    m_ell = system.matrix.with_column(ell - 1, system.rhs)
+    determinant = det(m_ell)
+
+    violations = []
+    if runner_up is not None and abs(top.value) <= threshold * runner_up:
+        violations.append(
+            f"max-not-dominant: |{top.value}| <= {threshold} * {runner_up}"
+        )
+    top_sign = top.sign * (1 if top.value > 0 else -1 if top.value < 0 else 0)
+    if top_sign != sign(determinant):
+        violations.append(
+            f"sign-mismatch: dominant contributes {top_sign}, determinant sign is {sign(determinant)}"
+        )
+    total = sum(mono.sign * mono.value for mono in monomials)
+    if total != determinant:
+        violations.append(f"sum-mismatch: monomials total {total}, determinant is {determinant}")
+
+    return DominanceReport(
+        ell=ell,
+        q=threshold,
+        row_coords=tuple(row_coords),
+        monomial_count=len(monomials),
+        dominant=top.filling,
+        dominant_value=top.value,
+        dominant_sign=top.sign,
+        runner_up=runner_up,
+        determinant=determinant,
+        violations=tuple(violations),
+    )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tverberg
+from tverberg import fillings
 from tverberg.exact import det
 from tverberg.fillings import (
     Filling,
@@ -44,7 +45,7 @@ from tverberg.sequences import (
     ordered_lift,
 )
 
-from oracle_utils import det_by_expansion
+from oracle_utils import det_by_expansion, dominance_report_by_monomials
 
 
 def m_ell_matrix(points, partition, ell):
@@ -616,6 +617,99 @@ def test_dominance_report_takes_the_callers_row_order(super_instance):
     assert len(tops) == 2
     with pytest.raises(ValueError):
         dominance_report(sup.points, partition, 1, sup.q, (0, 1, 1))
+
+
+@pytest.mark.parametrize("d, r, step", [(1, 3, 1), (1, 4, 1), (2, 2, 1), (2, 3, 7), (3, 2, 5)])
+def test_dominance_report_matches_the_monomial_composition(super_instance, d, r, step):
+    # every partition of the small rungs, every step-th of the larger ones
+    sup, _ = super_instance(d, r)
+    _, coords = ordered_lift(sup.points, sup.q)
+    n = sup.points.length
+    for partition in list(enumerate_proper_partitions(n, r, d + 1))[::step]:
+        for ell in range(1, n + 1):
+            report = dominance_report(sup.points, partition, ell, sup.q, coords)
+            assert report == dominance_report_by_monomials(sup.points, partition, ell, sup.q, coords)
+            assert report.ok
+
+
+def test_dominance_report_matches_the_monomial_composition_off_dominance():
+    # fractional entries with zeros and signs, rows read in a shuffled order:
+    # ties, zero determinants and both violation kinds, compared as text
+    rng = random.Random(5)
+    values = [Fraction(x) for x in (-2, -1, 0, 1, 2, 3, "1/2", "-3/4", "5/3")]
+    kinds, ties = set(), 0
+    for d, r in ((1, 2), (1, 3), (2, 2), (2, 3), (1, 4)):
+        n = (r - 1) * (d + 1) + 1
+        partitions = list(enumerate_proper_partitions(n, r, d + 1))
+        for _ in range(25):
+            points = PointSequence([[rng.choice(values) for _ in range(n)] for _ in range(d)])
+            coords = list(range(d + 1))
+            rng.shuffle(coords)
+            partition = rng.choice(partitions)
+            for ell in range(1, n + 1):
+                report = dominance_report(points, partition, ell, 2, coords)
+                assert report == dominance_report_by_monomials(points, partition, ell, 2, coords)
+                kinds.update(v.split(":")[0] for v in report.violations)
+                ties += report.runner_up == abs(report.dominant_value)
+    assert kinds == {"max-not-dominant", "sign-mismatch"}
+    assert ties > 0
+
+
+def test_dominance_report_keeps_its_input_errors(super_instance):
+    sup, _ = super_instance(2, 2)
+    _, coords = ordered_lift(sup.points, sup.q)
+    partition = Partition(4, [[1, 3], [2, 4]])
+    for bad in ((0, 1, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(ValueError, match="row_coords must permute 0..2"):
+            dominance_report(sup.points, partition, 1, sup.q, bad)
+    for points in (sup.points.subsequence([1, 2, 3]), PointSequence([[1, 2, 3, 4]])):
+        with pytest.raises(ValueError, match="points must be a 2-dimensional sequence of length 4"):
+            dominance_report(points, partition, 1, sup.q, coords)
+    for ell in (0, 5):
+        with pytest.raises(InvalidFillingError, match=f"ell={ell} is not a position in 1..4"):
+            dominance_report(sup.points, partition, ell, sup.q, coords)
+    # a class of three elements besides ell on a two-row grid
+    sup, _ = super_instance(1, 3)
+    crowded = Partition(5, [[1, 2, 3], [4], [5]])
+    with pytest.raises(InvalidFillingError, match="a class has more elements than grid rows"):
+        dominance_report(sup.points, crowded, 4, sup.q, (0, 1))
+
+
+def test_monomial_count_is_patterns_times_arrangements(super_instance):
+    sup, _ = super_instance(2, 3)
+    _, coords = ordered_lift(sup.points, sup.q)
+    height = 3
+    for partition in enumerate_proper_partitions(7, 3, 3):
+        for ell in range(1, 8):
+            sizes = [len(set(cls) - {ell}) for cls in partition.classes]
+            patterns = factorial(height)
+            for size in sizes:
+                patterns //= factorial(height - size)
+            expected = patterns
+            for size in sizes:
+                expected *= factorial(size)
+            report = dominance_report(sup.points, partition, ell, sup.q, coords)
+            assert report.monomial_count == expected
+
+
+@pytest.mark.parametrize(
+    "partition", [Partition(5, [[3], [1, 2], [4, 5]]), Partition(7, [[1, 4, 7], [2, 5], [3, 6]])]
+)
+def test_arrangement_signs_give_the_transversal_parity(partition):
+    # the oracle's sign rule: the increasing filling's parity times each
+    # class arrangement's sign, under every row order
+    height = (partition.n - 1) // (partition.r - 1)
+    for ell in range(1, partition.n + 1):
+        for arrangements in fillings._transversals(partition, ell):
+            increasing = fillings._grid(height, [ways[0][1] for ways in arrangements])
+            for coords in itertools.permutations(range(height)):
+                parity = fillings._transversal(increasing, ell, partition.n, coords)[0]
+                for choice in itertools.product(*arrangements):
+                    grid = fillings._grid(height, [cells for _, cells in choice])
+                    sign = parity
+                    for s, _ in choice:
+                        sign *= s
+                    assert sign == fillings._transversal(grid, ell, partition.n, coords)[0]
 
 
 def test_reimports_release_earlier_copies_of_the_package():

@@ -223,6 +223,17 @@ def test_uniform_schedule_is_inconsistent():
     assert not is_dominant(a, 3)
 
 
+def test_two_positions_classify_no_pair():
+    # ordered, but two gaps need a triple i < j < k to classify their pair
+    a = PointSequence([[1, 1], [1, 8], [1, 64]])
+    assert is_ordered(a, 3)
+    assert not is_dominant(a, 3)
+    with pytest.raises(NotDominantError, match="three positions"):
+        dominance_profile(a, 3)
+    # one gap has no pair to classify
+    assert dominance_profile(PointSequence([[1, 1], [1, 8]]), 3).order == (1,)
+
+
 def test_right_similar_schedule():
     a = right_similar_sequence(5)
     assert classify_pair(a, 3, 1, 2) is Relation.RIGHT_SIMILAR
