@@ -21,11 +21,12 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, NamedTuple, Sequence
 
-from .exact import _scaled_int_rows, _sign, det, scalar
+from .exact import _scaled_int_rows, _sign, scalar
 from .partitions import (
     Partition,
+    _cramer_det,
+    _cramer_matrix,
     _position,
-    build_system,
     is_rainbow,
     partition_to_json,
     tverberg_number,
@@ -212,7 +213,7 @@ def _row_order(height: int, n: int, points: Optional[PointSequence], row_coords)
         coords = tuple(int(c) for c in row_coords)
         if sorted(coords) != list(range(height)):
             raise ValueError(f"row_coords must permute 0..{height - 1}")
-    if height > 1 and (points is None or points.dim != height - 1 or points.length != n):
+    if (points is not None or height > 1) and (points is None or points.dim != height - 1 or points.length != n):
         raise ValueError(f"points must be a {height - 1}-dimensional sequence of length {n}")
     return coords
 
@@ -546,8 +547,8 @@ def dominance_report(
     A grid row holds r - 1 entries and one marker, so every monomial carries
     the factor prod lambda_t**r, divided out once at the end.  A monomial's
     sign is the parity of its marker pattern's increasing filling times the
-    sign of each class's arrangement.  The determinant comes from
-    build_system and det, a separate route.
+    sign of each class's arrangement.  The determinant is a separate route:
+    one maximal minor of the Cramer check's integer matrix K (_cramer_det).
     """
     threshold = scalar(q)
     n = partition.n
@@ -555,10 +556,9 @@ def dominance_report(
     if not 1 <= _position(ell) <= n:
         raise InvalidFillingError(f"ell={ell} is not a position in 1..{n}")
     coords = _row_order(height, n, points, row_coords)
-    system = build_system(points, partition)
-    determinant = det(system.matrix.with_column(ell - 1, system.rhs))
-
     ints, scales = _scaled_int_rows(points.rows)
+    minor = _cramer_det(_cramer_matrix(ints, partition), (height - 1) * n, ell - 1)
+    determinant = Fraction(int(minor), prod(scales) ** (partition.r - 1))
     lifted = [[1] * n, *ints]
     scale = prod(scales) ** partition.r
     markers = prod(-s for s in scales)  # one marker on each row but the ones row

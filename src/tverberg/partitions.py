@@ -11,18 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
     DimensionError,
     Matrix,
     SingularMatrixError,
+    _eliminate,
     _grid_det,
     _grid_solution_dim,
     _scaled_int_rows,
     _sign,
-    rank,
     solve_linear,
 )
 from .sequences import (
@@ -179,28 +178,26 @@ class TverbergSystem(NamedTuple):
     rhs: tuple
 
 
-def _common_point_system(coords, scales, one, groups, columns) -> list:
+def _common_point_system(coords, scales, one, groups) -> list:
     """Rows of [M | b]: affine weights per group, all placing the group's points at one z.
 
     coords[t - 1][i - 1] is coordinate t of position i times scales[t - 1] > 0;
-    the other entries are `one` and `one - one` (Fraction or int).  columns[g]
-    holds the weight column of each position of groups[g]; over all groups
-    they number 0..k-1, and z_1..z_d take columns k..k+d-1.  Each group adds
-    d + 1 rows: sum(alpha_i) = 1, then for t = 1..d sum(alpha_i p_i,t) - z_t
-    = 0 times scales[t - 1], with i over the group.
+    the other entries are `one` and `one - one` (Fraction or int).  Position
+    i's weight takes column i - 1, and z_1..z_d the d columns after the last
+    position's.  Each group adds d + 1 rows: sum(alpha_i) = 1, then for t =
+    1..d sum(alpha_i p_i,t) - z_t = 0 times scales[t - 1], i over the group.
     """
-    d = len(coords)
-    z0 = sum(len(cols) for cols in columns)
+    d, n = len(coords), len(coords[0])
     rows = []
-    for group, cols in zip(groups, columns):
-        block = [[one - one] * (z0 + d + 1) for _ in range(d + 1)]
+    for group in groups:
+        block = [[one - one] * (n + d + 1) for _ in range(d + 1)]
         block[0][-1] = one
-        for i, c in zip(group, cols):
-            block[0][c] = one
+        for i in group:
+            block[0][i - 1] = one
             for t in range(d):
-                block[t + 1][c] = coords[t][i - 1]
+                block[t + 1][i - 1] = coords[t][i - 1]
         for t in range(d):
-            block[t + 1][z0 + t] = -scales[t]
+            block[t + 1][n + t] = -scales[t]
         rows.extend(block)
     return rows
 
@@ -219,9 +216,8 @@ def build_system(points: PointSequence, partition: Partition) -> TverbergSystem:
         raise DimensionError(
             f"square system needs n = (r-1)(d+1)+1; got n={n}, r={r}, d={d}"
         )
-    columns = [[i - 1 for i in cls] for cls in partition.classes]
     one = Fraction(1)
-    rows = _common_point_system(points.rows, [one] * d, one, partition.classes, columns)
+    rows = _common_point_system(points.rows, [one] * d, one, partition.classes)
     return TverbergSystem(Matrix(row[:-1] for row in rows), tuple(row[-1] for row in rows))
 
 
@@ -306,7 +302,14 @@ def _cramer_signs(points: PointSequence, partition: Partition) -> tuple:
     scales every minor by the same positive factor, so no sign changes.
     """
     d, n = points.dim, points.length
-    coords, _ = _scaled_int_rows(points.rows)
+    k = _cramer_matrix(_scaled_int_rows(points.rows)[0], partition)
+    dets = [_cramer_det(k, d * n, j) for j in range(n)]
+    return _sign(sum(dets[i - 1] for i in partition.classes[0])), tuple(map(_sign, dets))
+
+
+def _cramer_matrix(coords: list, partition: Partition) -> list:
+    """K of _cramer_signs, from the integer coordinate rows that _scaled_int_rows returns."""
+    n = partition.n
     lifted = [[1] * n, *coords]
     first, *others = partition.classes
     k = []
@@ -318,11 +321,12 @@ def _cramer_signs(points: PointSequence, partition: Partition) -> tuple:
             for i in cls:
                 row[i - 1] = values[i - 1]
             k.append(row)
-    dets = [
-        (-1) ** (d * n + j) * _grid_det([row[:j] + row[j + 1:] for row in k])
-        for j in range(n)
-    ]
-    return _sign(sum(dets[i - 1] for i in first)), tuple(map(_sign, dets))
+    return k
+
+
+def _cramer_det(k: list, dn: int, j: int):
+    """det M_(j+1) times prod(scales)**(r - 1), j from 0 and dn = d * n (see _cramer_signs)."""
+    return (-1) ** (dn + j) * _grid_det([row[:j] + row[j + 1:] for row in k])
 
 
 def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list:
@@ -396,36 +400,34 @@ def _class_count(points: PointSequence) -> int:
 def affine_intersection_dim(points: PointSequence, subsets: Sequence[Sequence[int]]) -> int:
     """Dimension of the intersection of the subsets' affine hulls; -1 if empty.
 
-    Works over one combined system: affine weights per subset, all forced to
-    produce the same point.  The intersection dimension is the solution-space
-    dimension minus the weight-space slack (weights describing one point are
-    unique only up to each hull's own degeneracies).  Positions are plain
-    integers in 1..n.
+    The intersection is cut out by every subset's _hull_equations at once.
+    Positions are plain integers in 1..n.
     """
     groups = [tuple(sorted(set(_position(i) for i in sub))) for sub in subsets]
     if not groups or any(not g or g[0] < 1 or g[-1] > points.length for g in groups):
         raise ValueError(f"need at least one subset, each nonempty and in 1..{points.length}")
-    hull_dims = [_hull_dim(points, g) for g in groups]
-    return _intersection_dim(*_scaled_int_rows(points.rows), groups, hull_dims)
+    coords, scales = _scaled_int_rows(points.rows)
+    return _intersection_dim(points.dim, [_hull_equations(coords, scales, g) for g in groups])
 
 
-def _hull_dim(points: PointSequence, group: Sequence[int]) -> int:
-    """Dimension of the affine hull of the points at the given positions."""
-    return rank(Matrix([[Fraction(1)] + list(points.point(i)) for i in group])) - 1
+def _hull_equations(coords, scales, group: Sequence[int]) -> list:
+    """Integer rows [a | c] whose equations a.z = c cut out the group's affine hull.
 
-
-def _intersection_dim(coords, scales, groups: Sequence, hull_dims: Sequence) -> int:
-    """affine_intersection_dim on sorted nonempty groups with known hull dimensions.
-
-    coords and scales are what _scaled_int_rows returns for the points' rows.
+    They are the rows of the group's common-point block past the pivots of
+    its weight columns, so they carry no weight: d - dim(hull) of them, as
+    the block has row rank d + 1.  coords and scales are _scaled_int_rows's.
     """
-    # Groups may overlap, so each takes its own block of weight columns.
-    ends = accumulate(map(len, groups))
-    columns = [range(end - len(g), end) for g, end in zip(groups, ends)]
-    grid = _common_point_system(coords, scales, 1, groups, columns)
-    dim = _grid_solution_dim(grid, len(grid[0]) - 1)
-    slack = sum(len(g) - 1 - h for g, h in zip(groups, hull_dims))
-    return -1 if dim == -1 else dim - slack
+    k = len(group)
+    own = [[row[i - 1] for i in group] for row in coords]  # the group's positions become 1..k
+    block = _common_point_system(own, scales, 1, [range(1, k + 1)])
+    pivots, _ = _eliminate(block, k)
+    return [row[k:] for row in block[len(pivots):]]
+
+
+def _intersection_dim(d: int, equations: Sequence[list]) -> int:
+    """Dimension of the z-space set that meets every group's hull equations; -1 if empty."""
+    stack = [row[:] for rows in equations for row in rows]  # eliminated in place
+    return _grid_solution_dim(stack, d) if stack else d
 
 
 def _disjoint_families(n: int, k: int):
@@ -451,14 +453,11 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
         raise ValueError(f"r must be a plain integer >= 1, got {r!r}")
     d, n = points.dim, points.length
     coords, scales = _scaled_int_rows(points.rows)
-    hull_dim: dict = {}  # sorted subset -> dimension of its affine hull
+    # the one-subset families list every nonempty subset, and none of them can fail
+    equations = {g: _hull_equations(coords, scales, g) for (g,) in _disjoint_families(n, 1)}
     for k in range(1, r + 1):
         for family in _disjoint_families(n, k):
-            for g in family:
-                if g not in hull_dim:
-                    hull_dim[g] = _hull_dim(points, g)
-            dims = [hull_dim[g] for g in family]
-            expected = min(d + 1, sum(d - h for h in dims))
-            if d - _intersection_dim(coords, scales, family, dims) != expected:
+            rows = [equations[g] for g in family]
+            if d - _intersection_dim(d, rows) != min(d + 1, sum(map(len, rows))):
                 return False
     return True

@@ -5,14 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tverberg
 from tverberg import fillings
-from tverberg.exact import det
+from tverberg.exact import _scaled_int_rows, det
 from tverberg.fillings import (
     Filling,
     InvalidFillingError,
@@ -30,6 +30,8 @@ from tverberg.fillings import (
 )
 from tverberg.partitions import (
     Partition,
+    _cramer_det,
+    _cramer_matrix,
     blocks,
     build_system,
     decide_tverberg,
@@ -37,6 +39,7 @@ from tverberg.partitions import (
     enumerate_rainbow,
     is_rainbow,
     partition_to_json,
+    tverberg_number,
 )
 from tverberg.sequences import (
     PointSequence,
@@ -665,6 +668,8 @@ def test_dominance_report_keeps_its_input_errors(super_instance):
     for points in (sup.points.subsequence([1, 2, 3]), PointSequence([[1, 2, 3, 4]])):
         with pytest.raises(ValueError, match="points must be a 2-dimensional sequence of length 4"):
             dominance_report(points, partition, 1, sup.q, coords)
+    with pytest.raises(ValueError, match="points must be a 0-dimensional sequence of length 2"):
+        dominance_report(sup.points, Partition(2, [[1], [2]]), 1, sup.q, (0,))
     for ell in (0, 5):
         with pytest.raises(InvalidFillingError, match=f"ell={ell} is not a position in 1..4"):
             dominance_report(sup.points, partition, ell, sup.q, coords)
@@ -673,6 +678,30 @@ def test_dominance_report_keeps_its_input_errors(super_instance):
     crowded = Partition(5, [[1, 2, 3], [4], [5]])
     with pytest.raises(InvalidFillingError, match="a class has more elements than grid rows"):
         dominance_report(sup.points, crowded, 4, sup.q, (0, 1))
+
+
+def test_dominance_report_determinant_is_one_minor_of_k(super_instance):
+    # dominance_report reads det M_ell as one signed maximal minor of the
+    # Cramer check's integer K over prod(scales)**(r - 1); the reference is
+    # det of build_system's matrix with column ell replaced by the rhs
+    sequences = [super_instance(d, r)[0].points for d, r in ((1, 3), (1, 4), (2, 2), (2, 3), (3, 2))]
+    rng = random.Random(18)
+    for d, r in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)] * 8:
+        rows = [[Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in range(tverberg_number(r, d))]
+                for _ in range(d)]
+        sequences.append(PointSequence(rows))
+    checked = 0
+    for points in sequences:
+        d, n = points.dim, points.length
+        ints, scales = _scaled_int_rows(points.rows)
+        for partition in enumerate_proper_partitions(n, (n - 1) // (d + 1) + 1, d + 1):
+            system = build_system(points, partition)
+            k = _cramer_matrix(ints, partition)
+            for ell in range(1, n + 1):
+                minor = Fraction(int(_cramer_det(k, d * n, ell - 1)), prod(scales) ** (partition.r - 1))
+                assert minor == det(system.matrix.with_column(ell - 1, system.rhs)), (points, partition, ell)
+                checked += 1
+    assert checked == 75 + 735 + 28 + 1225 + 75 + 8 * (9 + 28 + 75 + 75 + 1225)
 
 
 def test_monomial_count_is_patterns_times_arrangements(super_instance):

@@ -2,12 +2,14 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tverberg import fillings, partitions, sequences
-from tverberg.exact import DimensionError, Matrix, det, det_sign
+from tverberg import exact, fillings, partitions, sequences
+from tverberg.exact import DimensionError, Matrix, _scaled_int_rows, det, det_sign
 from tverberg.fillings import _dominant_signs
 from tverberg.partitions import (
     CertificateMismatchError,
@@ -41,6 +43,7 @@ from oracle_utils import (
     disjoint_families_by_labeling,
     is_strong_general_position_by_ranks,
     labeled_proper_partitions,
+    rank_by_elimination,
     stirling2,
 )
 
@@ -498,19 +501,71 @@ def test_moment_curve_strong_general_position_depends_on_parameters():
 def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypatch):
     sup, _ = super_instance(1, 4)
     n = sup.points.length
-    calls = {"rank": 0, "_grid_solution_dim": 0}
-    for name in calls:
+    calls = {"_hull_equations": 0, "_grid_solution_dim": 0, "rank": 0}
+    for module, name in ((partitions, "_hull_equations"), (partitions, "_grid_solution_dim"),
+                         (exact, "rank")):
 
-        def counted(*args, name=name, real=getattr(partitions, name)):
+        def counted(*args, name=name, real=getattr(module, name)):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(partitions, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert is_strong_general_position(sup.points, 4)
     families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
-    # one hull rank per nonempty subset, one elimination of [M | b] per family
-    assert calls["rank"] == 2**n - 1 == 127
-    assert calls["_grid_solution_dim"] == families == 3844
+    assert families == 3844
+    # one weight-column elimination per nonempty subset; one elimination of
+    # the stacked hull equations per family, except the 876 families whose
+    # subsets all have full-dimensional hulls (no equations, nothing to stack)
+    assert calls["_hull_equations"] == 2**n - 1 == 127
+    assert calls["_grid_solution_dim"] == 2968
+    assert calls["rank"] == 0
+    assert not hasattr(partitions, "rank")
+
+
+def assert_hull_equations_cut_out_hulls(pts, points):
+    """On every nonempty subset: d - dim(hull) rows, each with a nonzero z part and met by the subset."""
+    d, n = points.dim, points.length
+    coords, scales = _scaled_int_rows(points.rows)
+    for size in range(1, n + 1):
+        for group in combinations(range(1, n + 1), size):
+            rows = partitions._hull_equations(coords, scales, group)
+            lifted_rank = rank_by_elimination([[1, *pts[i - 1]] for i in group])
+            assert len(rows) == d - lifted_rank + 1, (pts, group)
+            for row in rows:
+                a, c = [int(x) for x in row[:d]], int(row[d])
+                assert any(a), (pts, group, row)
+                assert all(sum(map(mul, a, pts[i - 1])) == c for i in group), (pts, group, row)
+
+
+@pytest.mark.parametrize("d, r", [(1, 4), (2, 3), (3, 2)])
+def test_hull_equations_cut_out_each_hull_on_super_instances(super_instance, d, r):
+    points = super_instance(d, r)[0].points
+    assert_hull_equations_cut_out_hulls([points.point(i) for i in range(1, points.length + 1)], points)
+
+
+@given(special_point_sets(dims=(1, 2, 3), span=40), st.data())
+@settings(max_examples=100, deadline=None)
+def test_hull_equations_cut_out_each_hull_on_special_shapes(pts, data):
+    assert_hull_equations_cut_out_hulls(*divided_rows(pts, data))
+
+
+def test_strong_general_position_matches_family_oracle_on_large_entries(super_instance):
+    # the hypothesis oracle test draws entries of at most 40; these reach 111 to 1,717 bits
+    cases = []
+    for d, r in ((1, 3), (2, 2), (1, 4)):
+        points = super_instance(d, r)[0].points
+        cases.append((points, r, True))
+    rows = [list(row) for row in super_instance(1, 4)[0].points.rows]
+    rows[0][-1] = rows[0][0]  # a repeated point
+    cases.append((PointSequence(rows), 4, False))
+    rows = [list(row) for row in super_instance(2, 2)[0].points.rows]
+    for row in rows:  # the last point on the segment of the first two
+        row[-1] = (row[0] + row[1]) / 2
+    cases.append((PointSequence(rows), 2, False))
+    for points, r, expected in cases:
+        pts = [points.point(i) for i in range(1, points.length + 1)]
+        assert is_strong_general_position(points, r) == expected
+        assert is_strong_general_position_by_ranks(pts, r) == expected
 
 
 def _full_matrix_signs(points: PointSequence, p: Partition) -> tuple:
