@@ -235,11 +235,6 @@ def _grid_solution_dim(grid: list, width: int) -> int:
     return width - len(pivots)
 
 
-def solution_dim(m: Matrix, b: Sequence[ScalarLike]) -> int:
-    """Dimension of the solution set of m x = b; -1 when it is empty."""
-    return _grid_solution_dim(_augmented_grid(m, b), m.cols)
-
-
 def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     """Unique exact solution of m x = b; raises SingularMatrixError otherwise."""
     if not m.is_square:

@@ -453,9 +453,11 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
         raise ValueError(f"r must be a plain integer >= 1, got {r!r}")
     d, n = points.dim, points.length
     coords, scales = _scaled_int_rows(points.rows)
-    # the one-subset families list every nonempty subset, and none of them can fail
+    # The one-subset families list every nonempty subset.  None of them can
+    # fail: a hull's d - dim(hull) equations are independent and consistent,
+    # and at most d, so the family loop starts at two subsets.
     equations = {g: _hull_equations(coords, scales, g) for (g,) in _disjoint_families(n, 1)}
-    for k in range(1, r + 1):
+    for k in range(2, r + 1):
         for family in _disjoint_families(n, k):
             rows = [equations[g] for g in family]
             if d - _intersection_dim(d, rows) != min(d + 1, sum(map(len, rows))):

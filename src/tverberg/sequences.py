@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
@@ -38,19 +38,22 @@ class Relation(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
+# A tabled sequence builds its entries base**e when they are first read.  An
+# entry of more bits than this (8 MiB) is refused instead: the (4,2) rung's
+# largest has 20.6 M bits, the (5,2) rung's about 4.3 * 10**9.
+_ENTRY_BIT_BUDGET = 1 << 26
+
+
 class PointSequence:
     """Immutable d-dimensional sequence of n points, stored by coordinate rows.
 
-    A sequence made by gen_power_sequence also keeps the (base, exponents)
-    table its rows are the powers of, and every row or column selection of
-    it keeps the matching table, so growth is compared on integer exponents.
-    The table is not part of equality, hashing, repr or JSON; a sequence
-    built from rows never has one.
+    A sequence made by gen_power_sequence keeps the (base, exponents) table
+    its rows are the powers of, and every row or column selection of it keeps
+    the matching table, so growth is compared on integer exponents.  Its
+    entries are built from the table when rows, entry or point is first read.
+    The table is not part of equality, hashing or repr; a sequence built from
+    rows never has one.
     """
-
-    rows: tuple
-    _exponents: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
         data = tuple(tuple(scalar(x) for x in row) for row in rows)
@@ -58,20 +61,39 @@ class PointSequence:
             raise ValueError("a sequence needs at least one row and one position")
         if any(len(row) != len(data[0]) for row in data):
             raise ValueError("coordinate rows have unequal lengths")
-        object.__setattr__(self, "rows", data)
-        object.__setattr__(self, "_exponents", None)
+        self._fill(data, None)
+
+    def _fill(self, rows: Optional[tuple], exponents: Optional[tuple]) -> None:
+        shape = rows if exponents is None else exponents[1]
+        object.__setattr__(self, "dim", len(shape))
+        object.__setattr__(self, "length", len(shape[0]))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_exponents", exponents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PointSequence is immutable")
 
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _powers(*self._exponents))
+        return self._rows
 
-    @property
-    def length(self) -> int:
-        return len(self.rows[0])
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
 
     @property
     def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
+        # a tabled entry is a power of a base above 1
+        return self._exponents is not None or all(x > 0 for row in self.rows for x in row)
 
     def row(self, t: int) -> tuple:
         if not 1 <= t <= self.dim:
@@ -92,11 +114,10 @@ class PointSequence:
 
     def _pick(self, rows: Sequence[int], cols: Sequence[int]) -> "PointSequence":
         """The 0-based rows and columns given, with the matching exponent table."""
-        picked = PointSequence([[self.rows[t][i] for i in cols] for t in rows])
         if self._exponents is None:
-            return picked
+            return PointSequence([[self.rows[t][i] for i in cols] for t in rows])
         base, table = self._exponents
-        return _carrying(picked, base, tuple(tuple(table[t][i] for i in cols) for t in rows))
+        return _tabled(base, tuple(tuple(table[t][i] for i in cols) for t in rows))
 
     def subsequence(self, positions: Sequence[int]) -> "PointSequence":
         return self._pick(range(self.dim), [self._column(i) for i in positions])
@@ -105,13 +126,42 @@ class PointSequence:
         return self.subsequence(range(step, self.length + 1, step))
 
 
-def _carrying(points: PointSequence, base: Fraction, table: tuple) -> PointSequence:
-    """Attach the table; the caller guarantees points.rows == base**table."""
-    object.__setattr__(points, "_exponents", (base, table))
+def _tabled(base: Fraction, table: tuple) -> PointSequence:
+    """The sequence with rows base**table, for a base above 1 and a rectangular table."""
+    if not table or not table[0]:
+        raise ValueError("a sequence needs at least one row and one position")
+    points = object.__new__(PointSequence)
+    points._fill(None, (base, table))
     return points
 
 
+def _powers(base: Fraction, table: tuple) -> tuple:
+    """The rows base**e, refused when an entry would pass _ENTRY_BIT_BUDGET.
+
+    The larger of an entry's numerator and denominator is base.numerator**|e|,
+    whose bit length is at most |e| * ceil(log2(base.numerator)) + 1, exactly
+    that when the numerator is a power of two.
+    """
+    top = max(abs(e) for row in table for e in row)
+    bits = top * (base.numerator - 1).bit_length() + 1
+    if bits > _ENTRY_BIT_BUDGET:
+        raise ValueError(
+            f"the sequence's largest entry would have up to {bits} bits, over the"
+            f" {_ENTRY_BIT_BUDGET}-bit budget for building entries"
+        )
+    return tuple(tuple(base**e for e in row) for row in table)
+
+
 def sequence_to_json(points: PointSequence) -> dict:
+    """{"d", "n", "base", "exponents"} for a tabled sequence, else the decimal form."""
+    if points._exponents is not None:
+        base, table = points._exponents
+        return {
+            "d": points.dim,
+            "n": points.length,
+            "base": scalar_str(base),
+            "exponents": [list(row) for row in table],
+        }
     return {
         "d": points.dim,
         "n": points.length,
@@ -120,16 +170,23 @@ def sequence_to_json(points: PointSequence) -> dict:
 
 
 def sequence_from_json(payload: dict) -> PointSequence:
+    """Either form of sequence_to_json; the compact one loads through gen_power_sequence."""
+    compact = isinstance(payload, dict) and "exponents" in payload
+    keys = ("d", "n", "base", "exponents") if compact else ("d", "n", "points")
     try:
-        d, n, cols = payload["d"], payload["n"], payload["points"]
+        d, n, *body = [payload[key] for key in keys]
     except (KeyError, TypeError) as exc:
-        raise ValueError("sequence payload needs keys 'd', 'n', 'points'") from exc
+        raise ValueError("sequence payload needs keys " + ", ".join(f"'{k}'" for k in keys)) from exc
     for key, value in (("d", d), ("n", n)):
         if type(value) is not int:
             raise ValueError(f"'{key}' must be a plain integer, got {value!r}")
-    if len(cols) != n or any(len(col) != d for col in cols):
+    grid = body[-1]  # d exponent rows, or n point columns
+    outer, inner = (d, n) if compact else (n, d)
+    if len(grid) != outer or any(len(line) != inner for line in grid):
         raise ValueError("sequence payload shape does not match its declared d and n")
-    return PointSequence([[scalar(col[t]) for col in cols] for t in range(d)])
+    if compact:
+        return gen_power_sequence(scalar(body[0]), grid)
+    return PointSequence([[scalar(col[t]) for col in grid] for t in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +208,8 @@ def gen_power_sequence(base: ScalarLike, exponents: Sequence[Sequence[int]]) -> 
 
     The exponent gaps e(t+1,i) - e(t,i) must be strictly increasing in i, so
     every consecutive-row ratio sequence strictly grows.  The result keeps
-    the table, and its growth comparisons run on the exponents.
+    the table, its growth comparisons run on the exponents, and its entries
+    are built only when read.
     """
     q_base = scalar(base)
     if q_base <= 1:
@@ -169,7 +227,7 @@ def gen_power_sequence(base: ScalarLike, exponents: Sequence[Sequence[int]]) -> 
             raise ValueError(
                 f"exponent gaps between rows {t + 1} and {t + 2} must strictly increase"
             )
-    return _carrying(PointSequence([[q_base**e for e in row] for row in table]), q_base, table)
+    return _tabled(q_base, table)
 
 
 def uniform_exponents(rows: int, length: int) -> list:
@@ -209,11 +267,10 @@ def default_threshold(d: int, r: int) -> Fraction:
 
 def lift(points: PointSequence) -> PointSequence:
     """Prepend the all-ones coordinate row."""
-    lifted = PointSequence(((Fraction(1),) * points.length,) + points.rows)
     if points._exponents is None:
-        return lifted
+        return PointSequence(((Fraction(1),) * points.length,) + points.rows)
     base, table = points._exponents
-    return _carrying(lifted, base, ((0,) * points.length,) + table)
+    return _tabled(base, ((0,) * points.length,) + table)
 
 
 def ordered_lift(points: PointSequence, q: ScalarLike):
@@ -263,7 +320,7 @@ def gen_super_dominant(d: int, r: int, q: Optional[ScalarLike] = None, base: Sca
     if not is_dominant(witness, threshold):
         raise AssertionError("chain witness failed its dominance check")
     lifted = witness.strided(d + 1)
-    if any(x != 1 for x in lifted.row(1)):
+    if any(lifted._exponents[1][0]):  # base**e is 1 only at e = 0
         raise AssertionError("chain witness lost its ones row")
     points = lifted._pick(range(1, lifted.dim), range(lifted.length))
     return SuperDominantSequence(points, lifted, witness, threshold)

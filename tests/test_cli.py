@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,104 @@ def test_gen_uniform_schedule_rejects_q(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--q" in captured.err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("schedule", ["chain", "uniform"])
+def test_gen_writes_exponent_tables_that_round_trip(capsys, tmp_path, schedule):
+    assert main(["gen", "--d", "2", "--r", "3", "--schedule", schedule]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"d", "n", "base", "exponents"}
+    points = sequence_from_json(payload)
+    assert points._exponents is not None and points._rows is None
+    assert sequences.sequence_to_json(points) == payload
+    if schedule == "chain":
+        assert points == gen_super_dominant(2, 3).points
+    else:
+        assert points == sequences.gen_power_sequence(2, sequences.uniform_exponents(2, 7))
+    # the decimal form of the same points still loads, without a table, and
+    # every command gives the same report on either file
+    decimal = sequences.sequence_to_json(sequences.PointSequence(points.rows))
+    assert set(decimal) == {"d", "n", "points"}
+    assert sequence_from_json(decimal) == points
+    assert sequence_from_json(decimal)._exponents is None
+    part = write_json(tmp_path / "p.json", {"n": 7, "classes": [[1, 4, 7], [2, 5], [3, 6]]})
+    reports = []
+    for form in (payload, decimal):
+        seq = write_json(tmp_path / "s.json", form)  # reports name the file
+        for argv in (["enumerate", "--seq", seq], ["check", "--seq", seq, "--partition", part],
+                     ["dominant", "--oracle", "--seq", seq, "--partition", part]):
+            code = main(argv + ["--json"])
+            reports.append((code, capsys.readouterr()))
+    assert reports[:3] == reports[3:]
+    assert [code for code, _ in reports[:2]] == [0, 0]
+
+
+VALID_COMPACT = {"d": 2, "n": 4, "base": "2", "exponents": [[0, 1, 2, 3], [0, 2, 5, 9]]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"exponents": [[0, 1, 2, 3], [0, 2, 5.0, 9]]}, "exponents must be plain integers, got 5.0"),
+    ({"exponents": [[0, 1, 2, 3], [0, 2, "5", 9]]}, "exponents must be plain integers, got '5'"),
+    ({"exponents": [[0, True, 2, 3], [0, 2, 5, 9]]}, "exponents must be plain integers, got True"),
+    ({"base": "1"}, "base must exceed 1"),
+    ({"base": "1/2"}, "base must exceed 1"),
+    ({"base": True}, "cannot interpret True as an exact scalar"),
+    ({"exponents": [[0, 1, 2, 3], [0, 1, 2, 3]]}, "exponent gaps between rows 1 and 2 must strictly increase"),
+    ({"exponents": [[0, 1, 2, 3], [0, 2, 3, 9]]}, "exponent gaps between rows 1 and 2 must strictly increase"),
+    ({"d": 3}, "sequence payload shape does not match its declared d and n"),
+    ({"n": 5}, "sequence payload shape does not match its declared d and n"),
+    ({"exponents": [[0, 1, 2, 3], [0, 2, 5]]}, "sequence payload shape does not match its declared d and n"),
+    ({"exponents": 7}, "object of type 'int' has no len()"),
+    ({"d": "2"}, "'d' must be a plain integer, got '2'"),
+])
+def test_malformed_compact_sequence_exits_two(capsys, tmp_path, change, message):
+    good = write_json(tmp_path / "good.json", VALID_COMPACT)
+    assert main(["enumerate", "--seq", good]) == 0
+    capsys.readouterr()
+    seq = write_json(tmp_path / "s.json", {**VALID_COMPACT, **change})
+    for argv in (["enumerate", "--seq", seq], ["sgp", "--seq", seq]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: bad sequence file {seq}: {message}"
+    without_base = {k: v for k, v in VALID_COMPACT.items() if k != "base"}
+    seq = write_json(tmp_path / "s.json", without_base)
+    assert main(["sgp", "--seq", seq]) == 2
+    assert "needs keys 'd', 'n', 'base', 'exponents'" in capsys.readouterr().err
+
+
+def test_commands_that_need_entries_refuse_an_oversized_file(capsys, tmp_path):
+    # The (5,2) file's largest entry, 2**4307689260, would take about 0.5 GiB;
+    # the four commands that read entries exit 2 before building any.
+    seq = str(tmp_path / "s.json")
+    assert main(["gen", "--d", "5", "--r", "2", "--out", seq]) == 0
+    part = write_json(tmp_path / "p.json", {"n": 7, "classes": [[1, 2, 3], [4, 5, 6, 7]]})
+    for argv in (["check", "--seq", seq, "--partition", part],
+                 ["witness", "--seq", seq, "--partition", part],
+                 ["sgp", "--seq", seq],
+                 ["dominant", "--oracle", "--seq", seq, "--partition", part]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: the sequence's largest entry would have up to 4307689261 bits,"
+            r" over the \d+-bit budget for building entries",
+            captured.err.strip(),
+        )
+    # the dominant route reads the exponents only
+    assert main(["dominant", "--seq", seq, "--partition", part]) == 0
+    assert main(["verify-universality", "--seq", seq]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_universality_five_two_passes(capsys):
+    start = time.perf_counter()
+    assert main(["verify-universality", "--d", "5", "--r", "2", "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] and payload["n"] == 7 and len(payload["tverberg"]) == 1
 
 
 def test_enumerate_lists_the_single_partition(capsys, line_seq):

@@ -14,8 +14,9 @@ from tverberg.exact import (
     rank,
     scalar,
     scalar_str,
-    solution_dim,
     solve_linear,
+    _augmented_grid,
+    _grid_solution_dim,
 )
 
 from oracle_utils import (
@@ -193,8 +194,13 @@ def test_zero_first_column_and_late_small_entry():
     assert Matrix(rows).mul_vec(got) == tuple(Fraction(b) for b in rhs)
 
 
-# solution_dim reads rank and consistency off one pass over [m | b]; the
-# oracle takes the coefficient and the augmented rank separately.
+# _grid_solution_dim reads rank and consistency off one pass over the integer
+# grid of [m | b]; the oracle takes the coefficient and the augmented rank
+# separately.
+
+
+def solution_dim(m, b):
+    return _grid_solution_dim(_augmented_grid(m, b), m.cols)
 
 
 @pytest.mark.parametrize(

@@ -514,10 +514,11 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
     families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
     assert families == 3844
     # one weight-column elimination per nonempty subset; one elimination of
-    # the stacked hull equations per family, except the 876 families whose
-    # subsets all have full-dimensional hulls (no equations, nothing to stack)
+    # the stacked hull equations per family of two or more subsets (the 127
+    # one-subset families cannot fail), except the 756 families whose subsets
+    # all have full-dimensional hulls (no equations, nothing to stack)
     assert calls["_hull_equations"] == 2**n - 1 == 127
-    assert calls["_grid_solution_dim"] == 2968
+    assert calls["_grid_solution_dim"] == 2961 == families - 127 - 756
     assert calls["rank"] == 0
     assert not hasattr(partitions, "rank")
 

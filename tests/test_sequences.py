@@ -1,6 +1,9 @@
 """Growth ratios, pair classification, dominance profiles, generators."""
 import itertools
+import pickle
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_utils import classify_pair_by_triples, order_by_outgrowth
 from tverberg import sequences
+from tverberg.partitions import decide_tverberg, enumerate_proper_partitions
 from tverberg.sequences import (
     NotDominantError,
     PointSequence,
@@ -299,7 +303,7 @@ def test_classify_pair_matches_the_triple_scan():
         q = rng.choice(ORACLE_QS)
         table = random_gap_table(rng)
         rows = [[base**e for e in row] for row in table]
-        tabled = sequences._carrying(PointSequence(rows), base, tuple(map(tuple, table)))
+        tabled = sequences._tabled(base, tuple(map(tuple, table)))
         if rng.random() < 0.5:  # off the power lattice
             rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] *= Fraction(rng.randint(1, 4), rng.randint(1, 4))
         for a, route in ((PointSequence(rows), "fraction"), (tabled, "exponent" if q > 0 else "fraction")):
@@ -578,10 +582,12 @@ def test_exponent_table_is_not_part_of_the_value():
     plain = PointSequence(a.rows)
     assert plain._exponents is None and a._exponents is not None
     assert a == plain and hash(a) == hash(plain) and repr(a) == repr(plain)
+    # the file form follows the table: compact with one, decimal without
     payload = sequence_to_json(a)
-    assert payload == sequence_to_json(plain)
-    assert set(payload) == {"d", "n", "points"}
-    loaded = sequence_from_json(payload)
+    assert set(payload) == {"d", "n", "base", "exponents"}
+    assert set(sequence_to_json(plain)) == {"d", "n", "points"}
+    assert sequence_from_json(payload)._exponents == a._exponents
+    loaded = sequence_from_json(sequence_to_json(plain))
     assert loaded == a and loaded._exponents is None
     tabled, untabled = dominance_profile(a, 3), dominance_profile(loaded, 3)
     assert (tabled.classes, tabled.kinds, tabled.order, tabled.relations) == (
@@ -593,6 +599,73 @@ def test_sequences_built_from_rows_carry_no_table():
     assert PointSequence([[1, 2, 4], [1, 8, 64]])._exponents is None
     assert gen_moment_curve(2, [1, 2, 3])._exponents is None
     assert lift(PointSequence([[2, 4, 8]]))._exponents is None
+
+
+# ---------------------------------------------------------------------------
+# lazy entries: a tabled sequence builds base**e only when its entries are read
+
+
+def test_lazy_entries_equal_eager_ones():
+    built = gen_super_dominant(3, 2)
+    lazy = built.points
+    base, table = lazy._exponents
+    eager = PointSequence([[base**e for e in row] for row in table])
+    assert lazy._rows is None
+    assert certified_outcome(lazy, built.q) == certified_outcome(eager, built.q) != NotDominantError
+    assert lazy._rows is None  # certifying reads the exponents only
+    for p in enumerate_proper_partitions(lazy.length, 2, lazy.dim + 1):
+        assert decide_tverberg(lazy, p) == decide_tverberg(eager, p)
+    assert lazy.rows is lazy.rows  # built once
+    for a in (lazy, eager, sequences._tabled(base, table)):
+        copied = pickle.loads(pickle.dumps(a))
+        assert copied == a and copied._exponents == a._exponents
+    assert lazy.rows == eager.rows and lazy == eager and hash(lazy) == hash(eager)
+    assert all(lazy.point(i) == eager.point(i) for i in range(1, lazy.length + 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # (3,2) entries pass 4300 decimal digits
+    try:
+        assert sequence_to_json(PointSequence(lazy.rows)) == sequence_to_json(eager)
+        assert repr(lazy) == repr(eager)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # each reader builds the entries of a sequence not read before
+    for read in (lambda a: a.point(2), lambda a: a.entry(3, 5), hash):
+        fresh = sequences._tabled(base, table)
+        read(fresh)
+        assert fresh._rows == eager.rows
+
+
+def test_construction_builds_no_entries():
+    # Eager (4,2) entries, of up to 20.6 M bits, took about 64 MiB.
+    tracemalloc.start()
+    try:
+        built = gen_super_dominant(4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert all(seq._rows is None for seq in (built.points, built.lifted, built.witness))
+    assert built.points.is_positive and built.points._rows is None
+
+
+def test_selections_of_a_lazy_sequence_stay_lazy():
+    a = gen_power_sequence(3, chain_exponents(4, 8, 3, 3))
+    for selection in (a._pick([2, 0], [1, 4]), a.subsequence([2, 5]), a.strided(3), lift(a)):
+        assert selection._rows is None
+        assert_table_matches(selection)
+    assert a._rows is None
+    with pytest.raises(ValueError, match="at least one row and one position"):
+        a.subsequence([])
+
+
+def test_oversized_entries_are_refused_before_any_power():
+    a = gen_power_sequence(2, [[0, 1 << 40]])
+    assert a.length == 2 and is_ordered(a, 1)  # the table alone still answers
+    with pytest.raises(ValueError, match=f"largest entry would have up to {(1 << 40) + 1} bits"):
+        a.rows
+    with pytest.raises(ValueError, match="budget"):
+        a.point(1)
+    assert sequence_from_json(sequence_to_json(a))._exponents == a._exponents
 
 
 def test_gen_super_dominant_three_three_certifies():
@@ -665,7 +738,7 @@ def test_exponent_route_matches_fraction_route():
         q = rng.choice(DIFFERENTIAL_QS)
         table = random_exponent_table(rng, base, q)
         plain = PointSequence([[base**e for e in row] for row in table])
-        tabled = sequences._carrying(PointSequence(plain.rows), base, tuple(map(tuple, table)))
+        tabled = sequences._tabled(base, tuple(map(tuple, table)))
         expected = growth_outcomes(plain, q)
         assert growth_outcomes(tabled, q) == expected, (base, q, table)
         cases += len(expected)
@@ -709,7 +782,7 @@ def test_growth_sort_certifies_like_the_tournament():
         q = rng.choice(CERTIFY_QS)
         table = random_exponent_table(rng, base, q)
         plain = PointSequence([[base**e for e in row] for row in table])
-        tabled = sequences._carrying(PointSequence(plain.rows), base, tuple(map(tuple, table)))
+        tabled = sequences._tabled(base, tuple(map(tuple, table)))
         expected = tournament_outcome(plain, q)
         for points in (plain, tabled):
             assert certified_outcome(points, q) == expected, (base, q, table)
