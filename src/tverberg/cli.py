@@ -302,7 +302,7 @@ def cmd_dominant(config: argparse.Namespace) -> int:
     for ell in range(1, partition.n + 1):
         filling = find_dominant_filling(partition, ell, profile)
         # the sign of the dominant term, which is sign det(M_ell)
-        sign = _dominant_sign(filling, coords)
+        sign = _dominant_sign(filling.grid, ell, partition.n, coords)
         lines.append("")
         lines.append(f"ell = {ell}  dominant monomial sign {sign:+d}")
         lines.extend(_grid_lines(filling))

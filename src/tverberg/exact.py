@@ -99,12 +99,6 @@ class Matrix:
             ]
         )
 
-    def mul_vec(self, vec: Sequence[ScalarLike]) -> tuple:
-        if len(vec) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        v = [scalar(x) for x in vec]
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self._cells)
-
 
 def _scaled_int_rows(rows: Iterable[Sequence[Fraction]]):
     """Clear denominators row by row.  Returns (integer grid, row scales).

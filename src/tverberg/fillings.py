@@ -115,31 +115,6 @@ class Filling:
         )
 
 
-def canonical_filling(partition: Partition, ell: int, z_columns: Sequence[int]) -> Filling:
-    """The column-increasing filling with markers at the given columns.
-
-    z_columns lists, for each grid row 0..d, the 1-based class receiving the
-    marker; each class column then takes its remaining elements in increasing
-    order, top to bottom.
-    """
-    r = partition.r
-    zcols = tuple(int(m) for m in z_columns)
-    if any(not 1 <= m <= r for m in zcols):
-        raise InvalidFillingError("marker columns must be 1-based class indices")
-    height = len(zcols)
-    grid = [[None] * r for _ in range(height)]
-    for m, cls in enumerate(partition.classes, start=1):
-        free = [k for k in range(height) if zcols[k] != m]
-        members = sorted(set(cls) - {ell})
-        if len(free) != len(members):
-            raise InvalidFillingError(
-                f"column {m} has {len(free)} free cells for {len(members)} elements"
-            )
-        for k, e in zip(free, members):
-            grid[k][m - 1] = e
-    return Filling(partition, ell, grid)
-
-
 def _transversals(partition: Partition, ell: int):
     """The fillings of the class grid, one marker pattern at a time.
 
@@ -414,11 +389,42 @@ def dominant_split(elements_by_class, h_top: int, h_bot: int) -> tuple:
     )
 
 
+def _band_rows(lo: int, hi: int, by_class: tuple, cuts: dict, memo: dict) -> tuple:
+    """The dominant filling's grid rows lo..hi (lo < hi) for the class traces by_class.
+
+    by_class holds each class's sorted elements, ell removed, that the band
+    takes.  The band is cut at its most dominant gap, cuts[lo, hi]
+    (DominanceProfile._band_cuts), by dominant_split, and every cut computed
+    here must pass check_split_conditions (InvalidFillingError otherwise).  A
+    one-row band takes each class's one element and a marker for its one
+    empty class.  A sub-band's rows depend only on (lo, hi, by_class), so
+    memo keeps them by that key and a later band that meets the same sub-band
+    reuses its checked rows; the band (lo, hi) itself is not stored.
+    """
+    tau = cuts[lo, hi]
+    h_top, h_bot = tau - lo, hi - tau + 1
+    x_by_class, y_by_class = dominant_split(by_class, h_top, h_bot)
+    bad = check_split_conditions(x_by_class, y_by_class, h_top, h_bot)
+    if bad:
+        raise InvalidFillingError("split conditions failed: " + "; ".join(bad))
+    rows = ()
+    for sub_lo, sub_hi, classes in ((lo, tau - 1, x_by_class), (tau, hi, y_by_class)):
+        if sub_lo == sub_hi:
+            rows += (tuple(cls[0] if cls else None for cls in classes),)
+            continue
+        key = (sub_lo, sub_hi, classes)
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = _band_rows(sub_lo, sub_hi, classes, cuts, memo)
+        rows += sub
+    return rows
+
+
 def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProfile) -> Filling:
     """The filling of the largest monomial, from the dominance order alone.
 
-    Works purely combinatorially: each recursion level splits its band of
-    grid rows at the most dominant interior gap via dominant_split, until
+    Works purely combinatorially: each band of grid rows is split at its
+    most dominant interior gap via dominant_split (_band_rows), until
     one-row bands fix every element's row and park the row's marker in its
     unique empty class.
     """
@@ -430,24 +436,8 @@ def find_dominant_filling(partition: Partition, ell: int, profile: DominanceProf
         raise InvalidFillingError(f"ell={ell} is not a position in 1..{n}")
     if not partition.is_proper(d):
         raise InvalidFillingError("only proper partitions admit a filling")
-
-    grid: list = [None] * (d + 1)
-
-    def solve(lo: int, hi: int, by_class: tuple):
-        if lo == hi:
-            grid[lo] = [cls[0] if cls else None for cls in by_class]
-            return
-        tau = profile.max_of(range(lo + 1, hi + 1))
-        h_top, h_bot = tau - lo, hi - tau + 1
-        x_by_class, y_by_class = dominant_split(by_class, h_top, h_bot)
-        bad = check_split_conditions(x_by_class, y_by_class, h_top, h_bot)
-        if bad:
-            raise InvalidFillingError("split conditions failed: " + "; ".join(bad))
-        solve(lo, tau - 1, x_by_class)
-        solve(tau, hi, y_by_class)
-
-    solve(0, d, tuple(tuple(sorted(set(cls) - {ell})) for cls in partition.classes))
-    return Filling(partition, ell, grid)
+    by_class = tuple(tuple(e for e in cls if e != ell) for cls in partition.classes)
+    return Filling(partition, ell, _band_rows(0, d, by_class, profile._band_cuts, {}))
 
 
 def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Optional[tuple]:
@@ -478,29 +468,35 @@ def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Option
     return None
 
 
-def _dominant_sign(filling: Filling, row_coords: tuple) -> int:
-    """The sign of the filling's monomial when every lifted entry is positive.
+def _dominant_sign(grid: Sequence[Sequence], ell: int, n: int, row_coords: tuple) -> int:
+    """The sign of a filling grid's monomial when every lifted entry is positive.
 
     That is the transversal parity times -1 per marker on a non-ones row; no
     entry is multiplied.
     """
-    parity, flips, _ = _transversal(filling.grid, filling.ell, filling.partition.n, row_coords)
+    parity, flips, _ = _transversal(grid, ell, n, row_coords)
     return -parity if flips % 2 else parity
 
 
-def _dominant_signs(partition: Partition, profile: DominanceProfile, row_coords: tuple) -> list:
+def _dominant_signs(classes: tuple, profile: DominanceProfile, row_coords: tuple, memo: dict) -> list:
     """sign det(M_ell) for ell = 1, 2, ..., up to the first that differs from ell = 1's.
 
-    Each sign is that of the dominant monomial (find_dominant_filling),
-    which is the determinant's sign when the ordered lift, read in the order
-    row_coords, is dominant at q >= default_threshold(d, r) under profile
-    (criteria 4 and 5).  Every lifted entry of such a sequence is positive,
-    so the sign is _dominant_sign's.  The partition is Tverberg exactly when
-    the list ends on the sign it starts with.
+    classes are the sorted class tuples of a proper partition of 1..n whose
+    grid has profile.gaps + 1 rows.  Each sign is that of the dominant
+    monomial, read from the rows _band_rows builds (the grid of
+    find_dominant_filling, without a Filling); it is the determinant's sign
+    when the ordered lift, read in the order row_coords, is dominant at q >=
+    default_threshold(d, r) under profile (criteria 4 and 5), since every
+    lifted entry of such a sequence is positive.  The partition is Tverberg
+    exactly when the list ends on the sign it starts with.  memo, one dict
+    per profile, carries the checked sub-band splits from call to call.
     """
+    n = sum(map(len, classes))
+    cuts = profile._band_cuts
     signs = []
-    for ell in range(1, partition.n + 1):
-        signs.append(_dominant_sign(find_dominant_filling(partition, ell, profile), row_coords))
+    for ell in range(1, n + 1):
+        by_class = tuple(tuple(e for e in cls if e != ell) if ell in cls else cls for cls in classes)
+        signs.append(_dominant_sign(_band_rows(0, profile.gaps, by_class, cuts, memo), ell, n, row_coords))
         if signs[-1] != signs[0]:
             break
     return signs

@@ -111,14 +111,12 @@ def partition_from_json(payload: dict) -> Partition:
 def is_rainbow(partition: Partition, d: int) -> bool:
     """Each class meets each window of blocks(d, r) in exactly one position."""
     r = partition.r
-    if partition.n != tverberg_number(r, d):
-        return False
-    windows = blocks(d, r)
-    return all(
-        sum(1 for i in cls if i in window) == 1
-        for cls in partition.classes
-        for window in windows
-    )
+    return partition.n == tverberg_number(r, d) and _meets_each_once(partition.classes, blocks(d, r))
+
+
+def _meets_each_once(classes, windows) -> bool:
+    """Each class holds exactly one position of each window."""
+    return all(sum(1 for i in cls if i in window) == 1 for cls in classes for window in windows)
 
 
 def _restricted_growth(n: int, r: int, max_size: int):
@@ -162,8 +160,11 @@ def enumerate_proper_partitions(n: int, r: int, max_size: int) -> list:
 def enumerate_rainbow(d: int, r: int) -> list:
     """All rainbow partitions for n = tverberg_number(r, d), in listing order."""
     n = tverberg_number(r, d)
+    windows = blocks(d, r)
     return [
-        p for p in enumerate_proper_partitions(n, r, d + 1) if is_rainbow(p, d)
+        Partition(n, classes)
+        for classes in _restricted_growth(n, r, d + 1)
+        if _meets_each_once(classes, windows)
     ]
 
 
@@ -356,16 +357,17 @@ def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list
         certificate = _certified_profile(points, default_threshold(d, r))
     except NotDominantError:
         certificate = None
+    memo: dict = {}  # sub-band splits, shared by every partition under this profile
     found = []
-    for p in enumerate_proper_partitions(n, r, d + 1):
+    for classes in _restricted_growth(n, r, d + 1):
         if certificate is not None:
-            signs = _dominant_signs(p, *certificate)
+            signs = _dominant_signs(classes, *certificate, memo)
             hit = signs[-1] == signs[0]
         if certificate is None or cross_check:
             try:
-                verdict = decide_tverberg(points, p, cross_check=cross_check)
+                verdict = decide_tverberg(points, Partition(n, classes), cross_check=cross_check)
             except DegeneratePointsError:
-                if affine_intersection_dim(points, p.classes) != -1:
+                if affine_intersection_dim(points, classes) != -1:
                     raise
                 verdict = None
             solved = verdict is not None and verdict.is_tverberg
@@ -378,7 +380,7 @@ def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list
                 )
             hit = solved
         if hit:
-            found.append(p)
+            found.append(Partition(n, classes))
     return found
 
 

@@ -16,7 +16,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
@@ -236,13 +236,46 @@ def uniform_exponents(rows: int, length: int) -> list:
 
 
 def _ceil_log(base: Fraction, value: Fraction) -> int:
-    """Smallest integer c >= 0 with base**c >= value."""
-    c = 0
-    power = Fraction(1)
-    while power < value:
-        power *= base
-        c += 1
-    return c
+    """Smallest integer c >= 0 with base**c >= value, for base > 1, in O(log c) steps.
+
+    The powers base**(2**k) are squared until they surely reach value; c - 1,
+    the largest e with base**e < value, is then built from its top bit down.
+    Each power base**e is carried as integers lo <= base**e * 2**bits <= hi,
+    rounded outward, so no number grows with c.  A power whose bounds
+    straddle value is below it unless it equals it, which _is_power settles
+    exactly; else the search starts over at twice the precision, and the
+    bounds tighten with it until they decide.
+    """
+    if value <= 1:
+        return 0
+    bits = 64 + base.numerator.bit_length() + base.denominator.bit_length()
+
+    def times(x: tuple, y: tuple) -> tuple:
+        return x[0] * y[0] >> bits, -(-x[1] * y[1] >> bits)
+
+    while True:
+        scale = 1 << bits
+        target = value * scale
+        powers = [(base.numerator * scale // base.denominator, -(-base.numerator * scale // base.denominator))]
+        while powers[-1][0] < target:
+            powers.append(times(powers[-1], powers[-1]))
+        below, power = 0, (scale, scale)
+        for k in reversed(range(len(powers))):
+            step = times(power, powers[k])
+            if step[1] < target:
+                below, power = below + (1 << k), step
+            elif step[0] < target and not _is_power(base, below + (1 << k), value):
+                break
+        else:
+            return below + 1
+        bits *= 2
+
+
+def _is_power(base: Fraction, e: int, value: Fraction) -> bool:
+    """base**e == value for base > 1 and e >= 0; the power is built only when its size allows that."""
+    if e * (base.numerator.bit_length() - 1) >= value.numerator.bit_length():
+        return False  # base.numerator**e has more bits than value's numerator
+    return base**e == value
 
 
 def chain_exponents(rows: int, length: int, base: ScalarLike, q: ScalarLike) -> list:
@@ -347,12 +380,10 @@ def growth_ratio(a: PointSequence, t: int, i: int, j: int) -> Fraction:
 
 def _beat_exponent(base: Fraction, q: Fraction) -> int:
     """Least integer c with base**c > q, for base > 1 and q > 0."""
+    if q < 1:  # base**c > q exactly when base**-c < 1/q, so -c is one below _ceil_log(base, 1/q)
+        return 1 - _ceil_log(base, 1 / q)
     c = _ceil_log(base, q)
-    if base**c == q:
-        c += 1
-    while base ** (c - 1) > q:  # only when q < 1
-        c -= 1
-    return c
+    return c + _is_power(base, c, q)
 
 
 def _growth_scale(a: PointSequence, q: Fraction):
@@ -479,6 +510,15 @@ class DominanceProfile:
         if not items:
             raise ValueError("max_of needs at least one coordinate")
         return max(items, key=self.order.index)
+
+    @cached_property
+    def _band_cuts(self) -> dict:
+        """max_of(lo + 1..hi) for every band of grid rows 0 <= lo < hi <= gaps, once per profile."""
+        return {
+            (lo, hi): self.max_of(range(lo + 1, hi + 1))
+            for lo in range(self.gaps)
+            for hi in range(lo + 1, self.gaps + 1)
+        }
 
 
 def dominance_profile(a: PointSequence, q: ScalarLike) -> DominanceProfile:

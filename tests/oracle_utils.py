@@ -8,7 +8,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from tverberg.exact import det, scalar
-from tverberg.fillings import DominanceReport, enumerate_valid_fillings, monomial_value
+from tverberg.fillings import (
+    DominanceReport,
+    Filling,
+    check_split_conditions,
+    dominant_split,
+    enumerate_valid_fillings,
+    monomial_value,
+)
 from tverberg.partitions import build_system
 from tverberg.sequences import Relation, growth_ratio
 
@@ -42,6 +49,11 @@ def det_by_expansion(rows):
                 break
         total += term
     return total
+
+
+def mat_vec(rows, vec):
+    """The product of a matrix, given by its rows, and a vector, over Fraction."""
+    return tuple(sum(Fraction(x) * Fraction(v) for x, v in zip(row, vec, strict=True)) for row in rows)
 
 
 def solve_by_gauss(rows, rhs):
@@ -266,6 +278,15 @@ def order_by_outgrowth(a, q):
     return tuple(order)
 
 
+def ceil_log_by_loop(base, value):
+    """Smallest c >= 0 with base**c >= value, multiplying by base once per step."""
+    c, power = 0, Fraction(1)
+    while power < value:
+        power *= base
+        c += 1
+    return c
+
+
 def stirling2(n, k):
     """Stirling number of the second kind, by the textbook recurrence."""
     if n == 0 or k == 0:
@@ -323,3 +344,44 @@ def dominance_report_by_monomials(points, partition, ell, q, row_coords):
         determinant=determinant,
         violations=tuple(violations),
     )
+
+
+def canonical_filling(partition, ell, z_columns):
+    """The column-increasing Filling with its markers at the given class columns.
+
+    z_columns lists, for each grid row, the 1-based class receiving the
+    marker; each class then takes its elements other than ell in increasing
+    order, top to bottom, in its remaining rows.  Filling validates the
+    grid, so markers that leave a class too few or too many rows raise.
+    """
+    grid = [[None] * partition.r for _ in z_columns]
+    for m, cls in enumerate(partition.classes, start=1):
+        free = [k for k, z in enumerate(z_columns) if z != m]
+        for k, e in zip(free, sorted(set(cls) - {ell})):
+            grid[k][m - 1] = e
+    return Filling(partition, ell, grid)
+
+
+def dominant_grid_by_recursion(partition, ell, profile):
+    """The dominant filling's grid, by the band recursion as first written.
+
+    Each band lo..hi of grid rows is cut at profile.max_of(lo + 1..hi),
+    asked afresh for every band, by dominant_split, every cut must pass
+    check_split_conditions, and nothing is remembered between bands or
+    calls.
+    """
+    grid = [None] * (profile.gaps + 1)
+
+    def solve(lo, hi, by_class):
+        if lo == hi:
+            grid[lo] = tuple(cls[0] if cls else None for cls in by_class)
+            return
+        tau = profile.max_of(range(lo + 1, hi + 1))
+        h_top, h_bot = tau - lo, hi - tau + 1
+        x_by_class, y_by_class = dominant_split(by_class, h_top, h_bot)
+        assert check_split_conditions(x_by_class, y_by_class, h_top, h_bot) == ()
+        solve(lo, tau - 1, x_by_class)
+        solve(tau, hi, y_by_class)
+
+    solve(0, profile.gaps, tuple(tuple(sorted(set(cls) - {ell})) for cls in partition.classes))
+    return tuple(grid)

@@ -120,6 +120,15 @@ def test_gen_is_deterministic_and_round_trips(capsys):
     assert points.dim == 1 and points.length == 3
 
 
+def test_gen_with_a_base_just_above_one_finishes(capsys):
+    # Its chain multiplier is about 3.2 million, the base-log of 25.
+    start = time.perf_counter()
+    assert main(["gen", "--d", "1", "--r", "2", "--base", "1000001/1000000"]) == 0
+    assert time.perf_counter() - start < 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["base"] == "1000001/1000000" and payload["exponents"] == [[6437758, 12875516, 19313274]]
+
+
 def test_gen_uniform_schedule(capsys):
     assert main(["gen", "--d", "2", "--r", "2", "--schedule", "uniform", "--base", "3"]) == 0
     points = sequence_from_json(json.loads(capsys.readouterr().out))

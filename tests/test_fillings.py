@@ -16,7 +16,6 @@ from tverberg.exact import _scaled_int_rows, det
 from tverberg.fillings import (
     Filling,
     InvalidFillingError,
-    canonical_filling,
     check_split_conditions,
     crossing_pairs,
     dominance_report,
@@ -37,18 +36,25 @@ from tverberg.partitions import (
     decide_tverberg,
     enumerate_proper_partitions,
     enumerate_rainbow,
+    enumerate_tverberg,
     is_rainbow,
     partition_to_json,
     tverberg_number,
 )
 from tverberg.sequences import (
+    DominanceProfile,
     PointSequence,
     default_threshold,
     gen_moment_curve,
     ordered_lift,
 )
 
-from oracle_utils import det_by_expansion, dominance_report_by_monomials
+from oracle_utils import (
+    canonical_filling,
+    det_by_expansion,
+    dominance_report_by_monomials,
+    dominant_grid_by_recursion,
+)
 
 
 def m_ell_matrix(points, partition, ell):
@@ -385,6 +391,66 @@ def test_every_split_is_checked(monkeypatch, super_instance, d, r):
             calls.clear()
             find_dominant_filling(partition, ell, profile)
             assert len(calls) == d, (partition, ell)
+
+
+def without(classes, ell):
+    return tuple(tuple(e for e in cls if e != ell) for cls in classes)
+
+
+@pytest.mark.parametrize("d, r", [(2, 3), (3, 2), (4, 2)])
+def test_band_rows_match_the_recursion_on_every_dominance_order(d, r):
+    # A chain profile, as every super instance has, cuts each band just
+    # above its last row; these orders cut bands at every gap.  Only max_of
+    # reads a profile here, and it reads the order.
+    n = tverberg_number(r, d)
+    coords = tuple(range(d + 1))
+    for order in itertools.permutations(range(1, d + 1)):
+        profile = DominanceProfile(d, {}, tuple((t,) for t in order), (None,) * d, order)
+        memo = {}
+        for partition in enumerate_proper_partitions(n, r, d + 1):
+            signs = []
+            for ell in range(1, n + 1):
+                expected = dominant_grid_by_recursion(partition, ell, profile)
+                rows = fillings._band_rows(0, d, without(partition.classes, ell), profile._band_cuts, memo)
+                assert rows == expected == find_dominant_filling(partition, ell, profile).grid
+                signs.append(fillings._dominant_sign(rows, ell, n, coords))
+            stop = next((k for k, sign in enumerate(signs) if sign != signs[0]), n - 1)
+            assert fillings._dominant_signs(partition.classes, profile, coords, memo) == signs[: stop + 1]
+
+
+@pytest.mark.parametrize("d, r", [(2, 3), (3, 2)])
+def test_enumerate_checks_every_split_it_computes(monkeypatch, super_instance, d, r):
+    # Every walked ell computes its top band; a sub-band is computed on its
+    # first meeting only and read from the memo after, so each call below
+    # is one computed split and passes through the four split conditions.
+    sup, _ = super_instance(d, r)
+    check, band_rows = fillings.check_split_conditions, fillings._band_rows
+    checked, computed = [], []
+
+    def counted_check(*args):
+        checked.append(args)
+        return check(*args)
+
+    def counted_band_rows(lo, hi, by_class, *rest):
+        computed.append((lo, hi, by_class))
+        return band_rows(lo, hi, by_class, *rest)
+
+    monkeypatch.setattr(fillings, "check_split_conditions", counted_check)
+    monkeypatch.setattr(fillings, "_band_rows", counted_band_rows)
+    assert enumerate_tverberg(sup.points) == enumerate_rainbow(d, r)
+    assert len(checked) == len(computed)
+    tops = [key for key in computed if key[:2] == (0, d)]
+    subs = [key for key in computed if key[:2] != (0, d)]
+    assert len(subs) == len(set(subs))
+    # Without the memo each ell would compute d splits (see the test above).
+    assert len(tops) < len(computed) < d * len(tops)
+
+
+def test_enumerate_raises_on_a_failed_split_check(monkeypatch, super_instance):
+    sup, _ = super_instance(2, 3)
+    monkeypatch.setattr(fillings, "check_split_conditions", lambda *args: ("(d) planted violation",))
+    with pytest.raises(InvalidFillingError, match="planted violation"):
+        enumerate_tverberg(sup.points)
 
 
 def test_find_dominant_validations(super_instance):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tverberg import exact, fillings, partitions, sequences
 from tverberg.exact import DimensionError, Matrix, _scaled_int_rows, det, det_sign
-from tverberg.fillings import _dominant_signs
+from tverberg.fillings import _band_rows, _dominant_sign, _dominant_signs, find_dominant_filling
 from tverberg.partitions import (
     CertificateMismatchError,
     DegeneratePointsError,
@@ -317,14 +317,24 @@ def test_cross_check_on_super_instances(super_instance, d, r):
     # partition the solve route and the Cramer route agree (decide_tverberg
     # raises otherwise), the dominant-monomial signs give the same verdict
     # and equal the determinant signs they reach, and a rejection's first
-    # two disagreeing ells have opposite determinant signs.
+    # two disagreeing ells have opposite determinant signs.  The walk's sign
+    # for every ell, not only up to the first disagreement, is the
+    # determinant's and that of find_dominant_filling's grid.
     sup, _ = super_instance(d, r)
+    n = sup.points.length
     # The threshold enumerate_tverberg certifies at; NotDominantError fails.
     certificate = sequences._certified_profile(sup.points, default_threshold(d, r))
+    profile, coords = certificate
+    memo = {}
     accepted = []
-    for p in enumerate_proper_partitions(sup.points.length, r, d + 1):
+    for p in enumerate_proper_partitions(n, r, d + 1):
         verdict = decide_tverberg(sup.points, p, cross_check=True)
-        signs = _dominant_signs(p, *certificate)
+        for ell in range(1, n + 1):
+            by_class = tuple(tuple(e for e in cls if e != ell) for cls in p.classes)
+            walked = _dominant_sign(_band_rows(0, d, by_class, profile._band_cuts, memo), ell, n, coords)
+            built = _dominant_sign(find_dominant_filling(p, ell, profile).grid, ell, n, coords)
+            assert walked == built == verdict.det_signs[ell - 1], (p, ell)
+        signs = _dominant_signs(p.classes, *certificate, memo)
         assert (signs[-1] == signs[0]) == verdict.is_tverberg, p
         assert tuple(signs) == verdict.det_signs[: len(signs)], p
         if verdict.is_tverberg:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_utils import classify_pair_by_triples, order_by_outgrowth
+from oracle_utils import ceil_log_by_loop, classify_pair_by_triples, order_by_outgrowth
 from tverberg import sequences
 from tverberg.partitions import decide_tverberg, enumerate_proper_partitions
 from tverberg.sequences import (
@@ -686,6 +686,36 @@ def test_beat_exponent_is_least_power_above_q(base):
               Fraction(40321)]:
         c = sequences._beat_exponent(base, q)
         assert base**c > q >= base ** (c - 1)
+
+
+def test_ceil_log_matches_the_multiplying_loop():
+    rng = random.Random(20)
+    bases = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 4), Fraction(101, 100)]
+    bases += [Fraction(a, b) for a, b in ((rng.randint(2, 60), rng.randint(1, 40)) for _ in range(20)) if a > b]
+    checked = 0
+    for base in bases:
+        values = [base**k for k in range(8)] + [Fraction(3, 2) ** k for k in range(12)]
+        values += [base**k * (1 + Fraction(s, 10**40)) for k in (1, 5) for s in (-1, 1)]  # past 64 bits
+        values += [Fraction(rng.randint(1, 10**5), rng.randint(1, 10**5)) for _ in range(10)]
+        values += [Fraction(1, 7), Fraction(0), Fraction(-3)]
+        for value in values:
+            c = sequences._ceil_log(base, value)
+            assert c == ceil_log_by_loop(base, value), (base, value)
+            if value > 0:
+                c = sequences._beat_exponent(base, value)
+                assert base**c > value >= base ** (c - 1), (base, value)
+            checked += 1
+    assert checked > 500
+
+
+def test_ceil_log_of_a_base_just_above_one_takes_few_steps():
+    # The loop still runs at base 1001/1000; at 1000001/1000000 it would
+    # multiply 6,580,643 times, into numbers of 131 M bits.
+    assert sequences._ceil_log(Fraction(1001, 1000), Fraction(721)) == ceil_log_by_loop(Fraction(1001, 1000), 721)
+    assert sequences._beat_exponent(Fraction(1001, 1000), Fraction(1, 2)) == 1 - ceil_log_by_loop(Fraction(1001, 1000), 2)
+    base = Fraction(1000001, 1000000)
+    assert sequences._ceil_log(base, Fraction(721)) == 6580643  # ceil(ln 721 / ln base)
+    assert sequences._beat_exponent(base, Fraction(1, 2)) == -693147  # 1 - ceil(ln 2 / ln base)
 
 
 DIFFERENTIAL_QS = [Fraction(x) for x in ("1/4", "1/2", "1", "3/2", "2", "9/4", "3", "4", "5", "8", "9", "0")]
