@@ -211,33 +211,27 @@ def _perm_sign(perm: Sequence[int]) -> int:
 
 
 def _transversal(grid: Sequence[Sequence], ell: int, n: int, coords: tuple) -> tuple:
-    """(parity, flips, reads) of a filling grid's transversal under the row order.
+    """(parity, reads) of a filling grid's transversal under the row order.
 
     parity is the sign of the transversal as a permutation of the original
-    system matrix, flips the number of markers on non-ones rows (each picks
-    a -1 entry), and reads the (coordinate, element) pairs of the point
+    system matrix, and reads the (coordinate, element) pairs of the point
     entries it multiplies.
     """
     height, r = len(grid), len(grid[0])
     perm = [0] * (height * r)
     reads = []
-    flips = 0
     for m in range(1, r + 1):
         base = (m - 1) * height
         for k, row in enumerate(grid):
             cell = row[m - 1]
             if cell is None:
-                if coords[k] == 0:
-                    column = ell - 1
-                else:
-                    flips += 1
-                    column = n + coords[k] - 1
+                column = ell - 1 if coords[k] == 0 else n + coords[k] - 1
             else:
                 if coords[k] > 0:
                     reads.append((coords[k], cell))
                 column = cell - 1
             perm[base + coords[k]] = column
-    return _perm_sign(perm), flips, reads
+    return _perm_sign(perm), reads
 
 
 def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords=None) -> Monomial:
@@ -251,8 +245,10 @@ def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords
     """
     n = filling.partition.n
     coords = _row_order(filling.d + 1, n, points, row_coords)
-    parity, flips, reads = _transversal(filling.grid, filling.ell, n, coords)
-    value = Fraction(-1 if flips % 2 else 1)
+    parity, reads = _transversal(filling.grid, filling.ell, n, coords)
+    # Each grid row holds one marker, so d of them sit on non-ones rows, each
+    # reading a -1 entry: the factor (-1)**d, whatever the row order.
+    value = Fraction(-1 if filling.d % 2 else 1)
     for t, i in reads:
         value *= points.entry(t, i)
     return Monomial(filling, value, parity)
@@ -303,7 +299,7 @@ def switch_ratio(filling: Filling, points: PointSequence, s: int, t: int) -> Fra
 
 
 # ---------------------------------------------------------------------------
-# the threshold split and the dominant filling
+# the band split and the dominant filling
 
 
 def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tuple:
@@ -315,8 +311,7 @@ def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tu
     bottom, beta's top part lies entirely below alpha's bottom part; (d) the
     top side holds exactly h_top * (r - 1) elements.
     """
-    x = [tuple(sorted(cls)) for cls in x_by_class]
-    y = [tuple(sorted(cls)) for cls in y_by_class]
+    x, y = x_by_class, y_by_class
     r = len(x)
     violations = []
     for m in range(r):
@@ -346,19 +341,22 @@ def check_split_conditions(x_by_class, y_by_class, h_top: int, h_bot: int) -> tu
 def dominant_split(elements_by_class, h_top: int, h_bot: int) -> tuple:
     """Split class traces into a top and bottom band; return (x_by_class, y_by_class).
 
-    Each class puts on top the prefix of its sorted trace that lies below one
-    common threshold, with that count clamped to [max(0, |C_m| - h_bot),
-    min(h_top, |C_m|)]; the threshold rises one element at a time until the
-    top side holds h_top*(r-1) elements.  It gets there: the clamped totals
-    start at most and end at least h_top*(r-1) (no class exceeds
-    h_top + h_bot), and each step adds 0 or 1.
+    Class C_m, sorted, puts at least low_m = max(0, |C_m| - h_bot) and at
+    most high_m = min(h_top, |C_m|) elements on top.  Its first low_m
+    elements are its forced prefix; C_m[j] with low_m <= j < high_m are its
+    spare elements.  The top side takes every forced prefix and then the
+    h_top*(r-1) - sum(low) smallest spare elements of the band, so each class
+    puts on top a prefix of its trace.  There are enough spare elements:
+    sum(low) <= h_top*(r-1) <= sum(high), since no class exceeds
+    h_top + h_bot.
 
     The cut meets the four split conditions: (a), (b) and (d) by
-    construction, and (c) because a class with room on top puts nothing
-    below the threshold at the bottom, and a class with room at the bottom
-    puts nothing above it on top.  It is the only prefix cut that does:
-    were a != a' two passing cuts, with a_alpha < a'_alpha and
-    a_beta > a'_beta, condition (c) on each would give
+    construction, and (c) because every spare element taken lies below every
+    one left, a class with room on top starts any bottom part with a spare
+    element left, and a class with room at the bottom ends any top part with
+    a spare element taken.  It is the only prefix cut that does: were
+    a != a' two passing cuts, with a_alpha < a'_alpha and a_beta > a'_beta,
+    condition (c) on each would give
     C_alpha[a_alpha] <= C_alpha[a'_alpha - 1] < C_beta[a'_beta]
     <= C_beta[a_beta - 1] < C_alpha[a_alpha].
     """
@@ -368,21 +366,14 @@ def dominant_split(elements_by_class, h_top: int, h_bot: int) -> tuple:
         raise ValueError("need at least two classes and nonempty bands")
     if any(len(cls) > h_top + h_bot for cls in classes):
         raise ValueError("a class exceeds the band capacity")
-    universe = sorted((e, m) for m, cls in enumerate(classes) for e in cls)
-    if len(universe) != (h_top + h_bot) * (r - 1) or len({e for e, _ in universe}) != len(universe):
-        raise ValueError(f"band must hold exactly {(h_top + h_bot) * (r - 1)} distinct elements")
+    size = (h_top + h_bot) * (r - 1)
+    if sum(map(len, classes)) != size or len(set().union(*classes)) != size:
+        raise ValueError(f"band must hold exactly {size} distinct elements")
 
-    target = h_top * (r - 1)
-    low = [max(0, len(cls) - h_bot) for cls in classes]
-    high = [min(h_top, len(cls)) for cls in classes]
-    below = [0] * r
-    top = sum(low)
-    for _, m in universe:
-        if top == target:
-            break
-        below[m] += 1
-        top += low[m] < below[m] <= high[m]
-    cuts = [min(max(b, lo), hi) for b, lo, hi in zip(below, low, high)]
+    cuts = [max(0, len(cls) - h_bot) for cls in classes]
+    spare = sorted((e, m) for m, cls in enumerate(classes) for e in cls[cuts[m] : h_top])
+    for _, m in spare[: h_top * (r - 1) - sum(cuts)]:
+        cuts[m] += 1
     return (
         tuple(cls[:k] for cls, k in zip(classes, cuts)),
         tuple(cls[k:] for cls, k in zip(classes, cuts)),
@@ -471,11 +462,11 @@ def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Option
 def _dominant_sign(grid: Sequence[Sequence], ell: int, n: int, row_coords: tuple) -> int:
     """The sign of a filling grid's monomial when every lifted entry is positive.
 
-    That is the transversal parity times -1 per marker on a non-ones row; no
-    entry is multiplied.
+    That is the transversal parity times (-1)**d for the d markers on
+    non-ones rows (see monomial_value); no entry is multiplied.
     """
-    parity, flips, _ = _transversal(grid, ell, n, row_coords)
-    return -parity if flips % 2 else parity
+    parity = _transversal(grid, ell, n, row_coords)[0]
+    return -parity if (len(grid) - 1) % 2 else parity
 
 
 def _dominant_signs(classes: tuple, profile: DominanceProfile, row_coords: tuple, memo: dict) -> list:

@@ -51,8 +51,9 @@ class PointSequence:
     its rows are the powers of, and every row or column selection of it keeps
     the matching table, so growth is compared on integer exponents.  Its
     entries are built from the table when rows, entry or point is first read.
-    The table is not part of equality, hashing or repr; a sequence built from
-    rows never has one.
+    The table is not part of the value, and a sequence built from rows never
+    has one: two tables on one base compare by exponents, any other pair by
+    entries, and hashing and repr build the entries.
     """
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
@@ -82,6 +83,10 @@ class PointSequence:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self is other:
+            return True
+        if self._exponents and other._exponents and self._exponents[0] == other._exponents[0]:
+            return self._exponents[1] == other._exponents[1]  # base**e is injective for a base above 1
         return self.rows == other.rows
 
     def __hash__(self) -> int:

@@ -479,9 +479,9 @@ def test_dominant_split_stage_bookkeeping_frozen():
 
 
 def random_band(rng):
-    r = rng.choice([2, 3, 4])
-    h_top = rng.randint(1, 3)
-    h_bot = rng.randint(1, 3)
+    r = rng.choice([2, 3, 4, 5])
+    h_top = rng.randint(1, 4)
+    h_bot = rng.randint(1, 4)
     total = (h_top + h_bot) * (r - 1)
     elements = list(range(1, total + 1))
     rng.shuffle(elements)
@@ -500,8 +500,9 @@ def random_band(rng):
 
 
 def test_dominant_split_bookkeeping_randomized():
+    # Wider than the exhaustive test below: r up to 5, both bands up to 4 rows.
     rng = random.Random(20260819)
-    for _ in range(200):
+    for _ in range(1000):
         classes, h_top, h_bot = random_band(rng)
         x_by_class, y_by_class = dominant_split(classes, h_top, h_bot)
         for cls, x, y in zip(classes, x_by_class, y_by_class):
@@ -559,6 +560,8 @@ def test_dominant_split_input_validation():
         dominant_split([(1, 2), (3, 4)], 2, 1)
     with pytest.raises(ValueError):
         dominant_split([(1, 2), (3, 4)], 2, 0)
+    with pytest.raises(ValueError):
+        dominant_split([(1,), (1,)], 1, 1)
 
 
 # ---------------------------------------------------------------------------

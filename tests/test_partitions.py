@@ -344,6 +344,45 @@ def test_cross_check_on_super_instances(super_instance, d, r):
     assert accepted == enumerate_rainbow(d, r)
 
 
+def ones_row_at(lifted, k):
+    """Each lifted point divided by its coordinate k, with that coordinate dropped.
+
+    Scaling lifted points by positive numbers keeps the Tverberg partitions,
+    and the dropped coordinate, now 1 throughout, is the new ones row.  The
+    ordered lift puts it at position k, after the k rows that now decrease.
+    """
+    base, table = lifted._exponents
+    return PointSequence(
+        [[base ** (e - f) for e, f in zip(row, table[k])] for t, row in enumerate(table) if t != k]
+    )
+
+
+@pytest.mark.parametrize("d, r", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_dominant_route_with_the_ones_row_off_the_slowest_position(super_instance, d, r):
+    # Every other walk test reads the rows in lifted order; here the marker
+    # factor (-1)**d meets a row order that moves the ones row.
+    sup, _ = super_instance(d, r)
+    for k in range(1, d + 1):
+        points = ones_row_at(sup.lifted, k)
+        _, coords = sequences._certified_profile(points, default_threshold(d, r))
+        assert coords.index(0) == k
+        assert enumerate_tverberg(points) == enumerate_rainbow(d, r), k
+        if d + r <= 4:  # cross-checking every partition takes 8 s at (2,3)
+            assert enumerate_tverberg(points, cross_check=True) == enumerate_rainbow(d, r), k
+
+
+def test_walk_signs_are_the_determinants_with_the_ones_row_moved(super_instance):
+    d, r = 2, 3
+    sup, _ = super_instance(d, r)
+    for k in range(1, d + 1):
+        points = ones_row_at(sup.lifted, k)
+        certificate = sequences._certified_profile(points, default_threshold(d, r))
+        memo = {}
+        for p in enumerate_proper_partitions(points.length, r, d + 1)[::7]:
+            signs = _dominant_signs(p.classes, *certificate, memo)
+            assert tuple(signs) == decide_tverberg(points, p, cross_check=True).det_signs[: len(signs)], (k, p)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_decide_agrees_with_cramer_on_random_lines(data):

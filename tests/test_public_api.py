@@ -99,3 +99,26 @@ def test_private_definitions_are_referenced():
         and used[node.name] == Counter(names(node))[node.name]
     ]
     assert unused == []
+
+
+def test_no_floats_in_the_package():
+    # Arithmetic stays exact: no float literal, no float or round, and from
+    # math only the integer functions.
+    integer_math = {"lcm", "prod", "factorial", "gcd", "isqrt", "comb"}
+    found = []
+    for path in sorted(INIT.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id in {"float", "round"}:
+                found.append(f"{path.name}:{node.lineno}: {node.id}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.extend(
+                    f"{path.name}:{node.lineno}: math.{alias.name}"
+                    for alias in node.names
+                    if alias.name not in integer_math
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+                if node.attr not in integer_math:
+                    found.append(f"{path.name}:{node.lineno}: math.{node.attr}")
+    assert found == []

@@ -595,6 +595,17 @@ def test_exponent_table_is_not_part_of_the_value():
     )
 
 
+def test_tabled_sequences_compare_without_building_entries():
+    # (5,2) entries pass the entry-bit budget, so reading rows would raise.
+    a, b = gen_super_dominant(5, 2).points, gen_super_dominant(5, 2).points
+    assert a == a and a == b
+    assert a._rows is None and b._rows is None
+    base, table = a._exponents
+    bumped = (table[0][:-1] + (table[0][-1] + 1,),) + table[1:]
+    assert a != sequences._tabled(base, bumped)
+    assert a._rows is None
+
+
 def test_sequences_built_from_rows_carry_no_table():
     assert PointSequence([[1, 2, 4], [1, 8, 64]])._exponents is None
     assert gen_moment_curve(2, [1, 2, 3])._exponents is None
