@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
@@ -432,14 +433,28 @@ def _intersection_dim(d: int, equations: Sequence[list]) -> int:
     return _grid_solution_dim(stack, d) if stack else d
 
 
-def _disjoint_families(n: int, k: int):
-    """Unlabeled families of k disjoint nonempty subsets of 1..n, one at a time.
+def _disjoint_families(subsets: Sequence[int], r: int):
+    """Families of 2..r pairwise-disjoint members of subsets, one at a time.
 
-    Each is a partition of 1..n+1 into k+1 classes with the class holding
-    n+1, which collects the unused elements, dropped.
+    subsets are bitmasks.  One depth-first walk adds members in list order,
+    each disjoint from those already taken, and stops at depth r; so every
+    family comes out once, as a tuple of members in list order.
     """
-    for classes in _restricted_growth(n + 1, k + 1, n + 1):
-        yield tuple(cls for cls in classes if cls[-1] != n + 1)
+    family: list = []
+
+    def extend(start: int, used: int):
+        for j in range(start, len(subsets)):
+            member = subsets[j]
+            if member & used:
+                continue
+            family.append(member)
+            if len(family) >= 2:
+                yield tuple(family)
+            if len(family) < r:
+                yield from extend(j + 1, used | member)
+            family.pop()
+
+    return extend(0, 0)
 
 
 def is_strong_general_position(points: PointSequence, r: int) -> bool:
@@ -450,18 +465,33 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
     d - dim(intersection) == min(d + 1, sum of (d - hull_dim)) with the empty
     intersection counted as dimension -1.  r is a plain integer >= 1; the
     check is exponential in n and intended for small instances.
+
+    Only families of 2..r cutting subsets, those with at least one hull
+    equation, are checked.  A one-subset family cannot fail: a hull's
+    d - dim(hull) equations are independent and consistent, and at most d.
+    A member whose hull is all of R^d changes neither the intersection nor
+    the codimension sum, so its family passes exactly when the family
+    without it passes; that smaller family is checked too, or it has at
+    most one member and passes.  Subsets are visited smallest first, and a
+    subset containing a one-smaller subset with no equations gets none
+    without an elimination: its hull contains a full-dimensional hull.
     """
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a plain integer >= 1, got {r!r}")
     d, n = points.dim, points.length
     coords, scales = _scaled_int_rows(points.rows)
-    # The one-subset families list every nonempty subset.  None of them can
-    # fail: a hull's d - dim(hull) equations are independent and consistent,
-    # and at most d, so the family loop starts at two subsets.
-    equations = {g: _hull_equations(coords, scales, g) for (g,) in _disjoint_families(n, 1)}
-    for k in range(2, r + 1):
-        for family in _disjoint_families(n, k):
-            rows = [equations[g] for g in family]
-            if d - _intersection_dim(d, rows) != min(d + 1, sum(map(len, rows))):
-                return False
+    equations: dict = {}  # bitmask of the subset -> its hull equations
+    for size in range(1, n + 1):
+        for group in combinations(range(1, n + 1), size):
+            bits = [1 << (i - 1) for i in group]
+            mask = sum(bits)
+            if size > 1 and not all(equations[mask ^ bit] for bit in bits):
+                equations[mask] = []
+            else:
+                equations[mask] = _hull_equations(coords, scales, group)
+    cutting = [mask for mask, rows in equations.items() if rows]
+    for family in _disjoint_families(cutting, r):
+        rows = [equations[mask] for mask in family]
+        if d - _intersection_dim(d, rows) != min(d + 1, sum(map(len, rows))):
+            return False
     return True

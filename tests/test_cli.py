@@ -353,6 +353,19 @@ def test_sgp_verdicts(capsys, tmp_path, line_seq):
     assert "no" in capsys.readouterr().out
 
 
+def test_sgp_with_a_huge_class_count_is_the_largest_useful_one(capsys, tmp_path):
+    # Seven points hold at most seven disjoint subsets, so any r >= 7 gives
+    # the r = 7 verdict; the family walk stops at the points, not at r.
+    seq = str(tmp_path / "s.json")
+    assert main(["gen", "--d", "1", "--r", "4", "--out", seq]) == 0
+    assert main(["sgp", "--seq", seq, "--r", "7", "--json"]) == 0
+    expected = json.loads(capsys.readouterr().out)["strong_general_position"]
+    start = time.perf_counter()
+    assert main(["sgp", "--seq", seq, "--r", "1000000", "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == {"r": 1000000, "strong_general_position": expected}
+
+
 def test_out_file_receives_the_report(capsys, tmp_path, line_seq, good_partition):
     target = tmp_path / "report.json"
     rc = main([

@@ -553,6 +553,34 @@ def test_check_split_conditions_flags_each_condition():
     assert check_split_conditions([(1, 2), ()], [(), (3,)], 2, 1) == ()
 
 
+def test_check_split_conditions_messages_and_order():
+    # one planted split breaking all four conditions: (a) in classes 1 and 2,
+    # (b) on top in class 1 and at the bottom in class 3, (c) for three of
+    # the (alpha, beta) pairs with spare room, (d) four elements on top of six
+    x = [(1, 2, 8), (7,), (), ()]
+    y = [(3,), (5,), (4, 6, 10), (9,)]
+    assert check_split_conditions(x, y, 2, 2) == (
+        "(a) class 1: top part reaches 8, bottom starts at 3",
+        "(a) class 2: top part reaches 7, bottom starts at 5",
+        "(b) class 1: 3 elements exceed top capacity 2",
+        "(b) class 3: 3 elements exceed bottom capacity 2",
+        "(c) classes 2,1: 8 does not precede 5",
+        "(c) classes 3,1: 8 does not precede 4",
+        "(c) classes 3,2: 7 does not precede 4",
+        "(d) top side holds 4 elements, wants 6",
+    )
+    assert check_split_conditions([(4,), (6,), (2,)], [(3, 5), (1,), ()], 2, 2) == (
+        "(a) class 1: top part reaches 4, bottom starts at 3",
+        "(a) class 2: top part reaches 6, bottom starts at 1",
+        "(c) classes 1,2: 6 does not precede 3",
+        "(c) classes 2,3: 2 does not precede 1",
+        "(d) top side holds 3 elements, wants 4",
+    )
+    assert check_split_conditions([(1,), (3,)], [(2,), ()], 2, 1) == (
+        "(c) classes 1,2: 3 does not precede 2",
+    )
+
+
 def test_dominant_split_input_validation():
     with pytest.raises(ValueError):
         dominant_split([(1, 2, 3, 4), (5, 6)], 2, 1)

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import mul
 
 import pytest
@@ -506,7 +507,7 @@ def test_affine_intersection_matches_two_rank_oracle(pts, data):
     assert affine_intersection_dim(points, groups) == affine_intersection_dim_by_ranks(pts, groups)
 
 
-@given(special_point_sets(dims=(1, 2, 3), span=40), st.integers(2, 3), st.data())
+@given(special_point_sets(dims=(1, 2, 3), span=40), st.integers(2, 4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_strong_general_position_matches_family_oracle(pts, r, data):
     pts, points = divided_rows(pts, data)
@@ -517,12 +518,18 @@ def test_disjoint_families_match_labeling_walk():
     def key(family):
         return frozenset(frozenset(g) for g in family)
 
+    def members(mask):
+        return [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
+
     for n in range(1, 8):
-        for k in range(1, 5):
-            families = [key(f) for f in _disjoint_families(n, k)]
+        subsets = list(range(1, 2**n))  # every nonempty subset of 1..n, as a bitmask
+        for r in range(1, 5):
+            families = [key(map(members, f)) for f in _disjoint_families(subsets, r)]
             assert len(set(families)) == len(families)
-            assert set(families) == {key(f) for f in disjoint_families_by_labeling(n, k)}
-            assert len(families) == stirling2(n + 1, k + 1)
+            assert set(families) == {
+                key(f) for k in range(2, r + 1) for f in disjoint_families_by_labeling(n, k)
+            }
+            assert len(families) == sum(stirling2(n + 1, k + 1) for k in range(2, r + 1))
 
 
 def test_strong_general_position_examples():
@@ -550,24 +557,28 @@ def test_moment_curve_strong_general_position_depends_on_parameters():
 def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypatch):
     sup, _ = super_instance(1, 4)
     n = sup.points.length
-    calls = {"_hull_equations": 0, "_grid_solution_dim": 0, "rank": 0}
-    for module, name in ((partitions, "_hull_equations"), (partitions, "_grid_solution_dim"),
-                         (exact, "rank")):
+    calls = {"_hull_equations": 0, "_intersection_dim": 0, "_grid_solution_dim": 0, "rank": 0}
+    groups = []
+    for module, name in ((partitions, "_hull_equations"), (partitions, "_intersection_dim"),
+                         (partitions, "_grid_solution_dim"), (exact, "rank")):
 
         def counted(*args, name=name, real=getattr(module, name)):
             calls[name] += 1
+            if name == "_hull_equations":
+                groups.append(tuple(args[2]))
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
     assert is_strong_general_position(sup.points, 4)
-    families = sum(stirling2(n + 1, k + 1) for k in range(1, 5))
-    assert families == 3844
-    # one weight-column elimination per nonempty subset; one elimination of
-    # the stacked hull equations per family of two or more subsets (the 127
-    # one-subset families cannot fail), except the 756 families whose subsets
-    # all have full-dimensional hulls (no equations, nothing to stack)
-    assert calls["_hull_equations"] == 2**n - 1 == 127
-    assert calls["_grid_solution_dim"] == 2961 == families - 127 - 756
+    # one weight-column elimination per subset not holding a full-dimensional
+    # hull: on the line (d = 1) the 7 singletons have one equation each and
+    # the 21 pairs span the line, so no larger subset is eliminated
+    assert calls["_hull_equations"] == comb(n, 1) + comb(n, 2) == 28
+    assert len(set(groups)) == len(groups)
+    # one elimination of the stacked equations per family of 2..4 cutting
+    # subsets, here the singletons: C(7,2) + C(7,3) + C(7,4) = 21 + 35 + 35
+    assert calls["_intersection_dim"] == sum(comb(n, k) for k in range(2, 5)) == 91
+    assert calls["_grid_solution_dim"] == 91
     assert calls["rank"] == 0
     assert not hasattr(partitions, "rank")
 
