@@ -210,16 +210,14 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _transversal(grid: Sequence[Sequence], ell: int, n: int, coords: tuple) -> tuple:
-    """(parity, reads) of a filling grid's transversal under the row order.
+def _transversal(grid: Sequence[Sequence], ell: int, n: int, coords: tuple) -> int:
+    """Parity of a filling grid's transversal under the row order.
 
-    parity is the sign of the transversal as a permutation of the original
-    system matrix, and reads the (coordinate, element) pairs of the point
-    entries it multiplies.
+    That is the sign of the transversal as a permutation of the original
+    system matrix.
     """
     height, r = len(grid), len(grid[0])
     perm = [0] * (height * r)
-    reads = []
     for m in range(1, r + 1):
         base = (m - 1) * height
         for k, row in enumerate(grid):
@@ -227,11 +225,9 @@ def _transversal(grid: Sequence[Sequence], ell: int, n: int, coords: tuple) -> t
             if cell is None:
                 column = ell - 1 if coords[k] == 0 else n + coords[k] - 1
             else:
-                if coords[k] > 0:
-                    reads.append((coords[k], cell))
                 column = cell - 1
             perm[base + coords[k]] = column
-    return _perm_sign(perm), reads
+    return _perm_sign(perm)
 
 
 def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords=None) -> Monomial:
@@ -245,13 +241,14 @@ def monomial_value(filling: Filling, points: Optional[PointSequence], row_coords
     """
     n = filling.partition.n
     coords = _row_order(filling.d + 1, n, points, row_coords)
-    parity, reads = _transversal(filling.grid, filling.ell, n, coords)
     # Each grid row holds one marker, so d of them sit on non-ones rows, each
     # reading a -1 entry: the factor (-1)**d, whatever the row order.
     value = Fraction(-1 if filling.d % 2 else 1)
-    for t, i in reads:
-        value *= points.entry(t, i)
-    return Monomial(filling, value, parity)
+    for k, row in enumerate(filling.grid):
+        for cell in row:
+            if coords[k] > 0 and cell is not None:
+                value *= points.entry(coords[k], cell)
+    return Monomial(filling, value, _transversal(filling.grid, filling.ell, n, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +462,7 @@ def _dominant_sign(grid: Sequence[Sequence], ell: int, n: int, row_coords: tuple
     That is the transversal parity times (-1)**d for the d markers on
     non-ones rows (see monomial_value); no entry is multiplied.
     """
-    parity = _transversal(grid, ell, n, row_coords)[0]
+    parity = _transversal(grid, ell, n, row_coords)
     return -parity if (len(grid) - 1) % 2 else parity
 
 
@@ -553,7 +550,7 @@ def dominance_report(
     best = second = -1
     for arrangements in _transversals(partition, ell):
         increasing = _grid(height, [ways[0][1] for ways in arrangements])
-        monomials = [(_transversal(increasing, ell, n, coords)[0], markers, ())]
+        monomials = [(_transversal(increasing, ell, n, coords), markers, ())]
         for ways in arrangements:  # class by class, in itertools.product order
             priced = [(s, prod(lifted[coords[k]][e - 1] for k, e in cells), cells) for s, cells in ways]
             monomials = [

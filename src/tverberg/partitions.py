@@ -438,7 +438,9 @@ def _disjoint_families(subsets: Sequence[int], r: int):
 
     subsets are bitmasks.  One depth-first walk adds members in list order,
     each disjoint from those already taken, and stops at depth r; so every
-    family comes out once, as a tuple of members in list order.
+    family comes out once, as a tuple of members in list order.  Sending
+    False for the family just yielded skips its extensions (with next() the
+    walk descends, so plain iteration runs every family).
     """
     family: list = []
 
@@ -448,9 +450,8 @@ def _disjoint_families(subsets: Sequence[int], r: int):
             if member & used:
                 continue
             family.append(member)
-            if len(family) >= 2:
-                yield tuple(family)
-            if len(family) < r:
+            pruned = len(family) >= 2 and (yield tuple(family)) is False
+            if len(family) < r and not pruned:
                 yield from extend(j + 1, used | member)
             family.pop()
 
@@ -474,24 +475,42 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
     without it passes; that smaller family is checked too, or it has at
     most one member and passes.  Subsets are visited smallest first, and a
     subset containing a one-smaller subset with no equations gets none
-    without an elimination: its hull contains a full-dimensional hull.
+    without an elimination: its hull contains a full-dimensional hull.  So
+    once no subset of some size cuts, no larger one does, and the pass over
+    subsets stops there.
+
+    The walk does not descend below a family whose hulls already miss each
+    other.  If a checked family F passes with an empty intersection, then
+    d + 1 = min(d + 1, sum of codim F), so the codimensions sum to at least
+    d + 1.  Any extension of F also has an empty intersection and a sum of
+    at least d + 1, so it passes; F's siblings are still checked.  Families
+    with a nonempty intersection are extended to depth r.
     """
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a plain integer >= 1, got {r!r}")
     d, n = points.dim, points.length
     coords, scales = _scaled_int_rows(points.rows)
-    equations: dict = {}  # bitmask of the subset -> its hull equations
+    equations: dict = {}  # bitmask of each cutting subset -> its hull equations
     for size in range(1, n + 1):
+        cut_before = len(equations)
         for group in combinations(range(1, n + 1), size):
             bits = [1 << (i - 1) for i in group]
             mask = sum(bits)
-            if size > 1 and not all(equations[mask ^ bit] for bit in bits):
-                equations[mask] = []
-            else:
-                equations[mask] = _hull_equations(coords, scales, group)
-    cutting = [mask for mask, rows in equations.items() if rows]
-    for family in _disjoint_families(cutting, r):
+            if size == 1 or all(mask ^ bit in equations for bit in bits):
+                rows = _hull_equations(coords, scales, group)
+                if rows:
+                    equations[mask] = rows
+        if len(equations) == cut_before:
+            break
+    walk = _disjoint_families(list(equations), r)
+    nonempty = None  # a walk not yet started takes only None
+    while True:
+        try:
+            family = walk.send(nonempty)
+        except StopIteration:
+            return True
         rows = [equations[mask] for mask in family]
-        if d - _intersection_dim(d, rows) != min(d + 1, sum(map(len, rows))):
+        dim = _intersection_dim(d, rows)
+        if d - dim != min(d + 1, sum(map(len, rows))):
             return False
-    return True
+        nonempty = dim >= 0

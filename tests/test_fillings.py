@@ -829,13 +829,13 @@ def test_arrangement_signs_give_the_transversal_parity(partition):
         for arrangements in fillings._transversals(partition, ell):
             increasing = fillings._grid(height, [ways[0][1] for ways in arrangements])
             for coords in itertools.permutations(range(height)):
-                parity = fillings._transversal(increasing, ell, partition.n, coords)[0]
+                parity = fillings._transversal(increasing, ell, partition.n, coords)
                 for choice in itertools.product(*arrangements):
                     grid = fillings._grid(height, [cells for _, cells in choice])
                     sign = parity
                     for s, _ in choice:
                         sign *= s
-                    assert sign == fillings._transversal(grid, ell, partition.n, coords)[0]
+                    assert sign == fillings._transversal(grid, ell, partition.n, coords)
 
 
 def test_reimports_release_earlier_copies_of_the_package():

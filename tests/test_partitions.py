@@ -576,11 +576,63 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
     assert calls["_hull_equations"] == comb(n, 1) + comb(n, 2) == 28
     assert len(set(groups)) == len(groups)
     # one elimination of the stacked equations per family of 2..4 cutting
-    # subsets, here the singletons: C(7,2) + C(7,3) + C(7,4) = 21 + 35 + 35
-    assert calls["_intersection_dim"] == sum(comb(n, k) for k in range(2, 5)) == 91
-    assert calls["_grid_solution_dim"] == 91
+    # subsets, here the singletons; two distinct points on the line already
+    # miss each other, so no family grows past a pair: C(7,2) = 21
+    assert calls["_intersection_dim"] == comb(n, 2) == 21
+    assert calls["_grid_solution_dim"] == 21
     assert calls["rank"] == 0
     assert not hasattr(partitions, "rank")
+
+
+def test_strong_general_position_elimination_counts_on_the_plane(super_instance, monkeypatch):
+    sup, _ = super_instance(2, 3)
+    calls = {"_hull_equations": 0, "_intersection_dim": 0}
+    for name in calls:
+
+        def counted(*args, name=name, real=getattr(partitions, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(partitions, name, counted)
+    assert is_strong_general_position(sup.points, 3)
+    # the 7 singletons, 21 pairs and 35 triples; the triples span the plane,
+    # so no larger subset is eliminated.  The stacked count is every family
+    # the walk reaches without passing below an empty one
+    n = sup.points.length
+    assert calls["_hull_equations"] == comb(n, 1) + comb(n, 2) + comb(n, 3) == 63
+    assert calls["_intersection_dim"] == 336
+
+
+@pytest.mark.parametrize("d, r, deepest", [(1, 4, 2), (2, 3, 3), (1, 5, 2)])
+def test_strong_general_position_descends_only_below_nonempty_families(super_instance, monkeypatch, d, r, deepest):
+    points = super_instance(d, r)[0].points
+    real = partitions._intersection_dim
+    checked = []
+
+    def recorded(dim, equations):
+        checked.append(list(equations))
+        return real(dim, equations)
+
+    monkeypatch.setattr(partitions, "_intersection_dim", recorded)
+    assert is_strong_general_position(points, r)
+    # on the line every two points already miss each other, so no pair is
+    # extended; in the plane two lines meet in a point, so some pairs are
+    assert max(map(len, checked)) == deepest
+    for equations in checked:
+        for k in range(2, len(equations)):
+            assert real(d, equations[:k]) >= 0
+
+
+def test_strong_general_position_finds_a_failure_below_nonempty_families():
+    # two points on each of three lines through (1, 2): any two of the
+    # lines meet in a point, as expected, but all three meet there too
+    pts = [(-7, -14), (-6, -12), (-20, 9), (10, -1), (9, -18), (-1, 7)]
+    points = PointSequence([[p[0] for p in pts], [p[1] for p in pts]])
+    assert affine_intersection_dim(points, [[1, 2], [3, 4]]) == 0
+    assert affine_intersection_dim(points, [[1, 2], [3, 4], [5, 6]]) == 0
+    for r, expected in ((2, True), (3, False)):
+        assert is_strong_general_position(points, r) == expected
+        assert is_strong_general_position_by_ranks(pts, r) == expected
 
 
 def assert_hull_equations_cut_out_hulls(pts, points):
