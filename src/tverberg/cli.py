@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import scalar_str
+from .exact import scalar
 from .fillings import (
     _dominant_sign,
     _grid_height,
@@ -70,6 +70,8 @@ def _load_payload(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
 
 
 def _load_sequence(path: str) -> PointSequence:
@@ -204,8 +206,8 @@ def cmd_check(config: argparse.Namespace) -> int:
     lines = []
     if verdict.is_tverberg:
         lines.append("verdict: TVERBERG")
-        lines.append("z = (" + ", ".join(scalar_str(x) for x in verdict.z) + ")")
-        lines.append("alphas: " + ", ".join(scalar_str(a) for a in verdict.alphas))
+        lines.append("z = (" + ", ".join(str(x) for x in verdict.z) + ")")
+        lines.append("alphas: " + ", ".join(str(a) for a in verdict.alphas))
     else:
         lines.append(f"verdict: NOT TVERBERG ({verdict.reason})")
     if verdict.base_sign is not None:
@@ -216,8 +218,8 @@ def cmd_check(config: argparse.Namespace) -> int:
     payload = {
         "is_tverberg": verdict.is_tverberg,
         "reason": verdict.reason,
-        "z": [scalar_str(x) for x in verdict.z] if verdict.z is not None else None,
-        "alphas": [scalar_str(a) for a in verdict.alphas] if verdict.alphas is not None else None,
+        "z": [str(x) for x in verdict.z] if verdict.z is not None else None,
+        "alphas": [str(a) for a in verdict.alphas] if verdict.alphas is not None else None,
         "base_sign": verdict.base_sign,
         "det_signs": list(verdict.det_signs) if verdict.det_signs is not None else None,
     }
@@ -296,7 +298,7 @@ def cmd_dominant(config: argparse.Namespace) -> int:
     partition = _load_partition(config.partition_path)
     points, d, r, q, source = _resolve_instance(config, partition)
     profile, coords = _profile_for(points, q)
-    lines = [f"instance: d = {d}, r = {r}, q = {scalar_str(q)} ({source})"]
+    lines = [f"instance: d = {d}, r = {r}, q = {q} ({source})"]
     records = []
     agree = True
     for ell in range(1, partition.n + 1):
@@ -326,7 +328,7 @@ def cmd_dominant(config: argparse.Namespace) -> int:
     payload = {
         "d": d,
         "r": r,
-        "q": scalar_str(q),
+        "q": str(q),
         "source": source,
         "ells": records,
     }
@@ -343,8 +345,8 @@ def cmd_witness(config: argparse.Namespace) -> int:
         raise InputError("partition is rainbow; no sign-flip witness exists")
     profile, _ = _profile_for(points, q)
     pair = sign_flip_witness(partition, profile)
-    lines = [f"instance: d = {d}, r = {r}, q = {scalar_str(q)} ({source})"]
-    payload = {"d": d, "r": r, "q": scalar_str(q), "source": source}
+    lines = [f"instance: d = {d}, r = {r}, q = {q} ({source})"]
+    payload = {"d": d, "r": r, "q": str(q), "source": source}
     if pair is None:
         lines.append("FAIL: no consecutive same-class pair shares its marker pattern")
         payload["witness"] = None
@@ -396,7 +398,7 @@ def _checked(kind, holds, requirement: str):
     return parse
 
 
-_ABOVE_ONE = _checked(Fraction, lambda v: v > 1, "exceed 1")
+_ABOVE_ONE = _checked(scalar, lambda v: v > 1, "exceed 1")
 
 _FLAGS = {
     "d": dict(type=_checked(int, lambda v: v >= 1, "be at least 1"), help="ambient dimension"),
@@ -465,6 +467,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CertificateMismatchError as exc:
         print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except RecursionError:
+        # the partition walk recurses once per element
+        print("error: the input is too large to enumerate within Python's recursion limit", file=sys.stderr)
+        return INPUT_ERROR
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

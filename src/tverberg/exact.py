@@ -8,6 +8,7 @@ fewest bits, so the pivot every later step divides by stays small.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence, Union
@@ -21,6 +22,13 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 ScalarLike = Union[Fraction, int, str]
 
+# An entry of more bits than this (8 MiB) is refused instead of built: the
+# (4,2) rung's largest has 20.6 M bits, the (5,2) rung's about 4.3 * 10**9.
+_ENTRY_BIT_BUDGET = 1 << 26
+
+# The exponent of a decimal string such as "1.5e-7", in Fraction's grammar.
+_DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 class DimensionError(ValueError):
     """Shapes of operands do not line up."""
@@ -31,17 +39,25 @@ class SingularMatrixError(ValueError):
 
 
 def scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, 'p/q' string, or Fraction to a canonical rational."""
+    """Coerce an int, 'p/q' or decimal string, or Fraction to a canonical rational.
+
+    A decimal string's exponent e makes Fraction build 10**|e|, which has at
+    most 4|e| bits; past _ENTRY_BIT_BUDGET the string is refused before any
+    power is built.  An exponent of more digits than the budget itself is
+    refused by its length alone, as reading a long digit string is slow too.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        found = _DECIMAL_EXPONENT.search(value)
+        digits = found[1].replace("_", "").lstrip("0") if found else ""
+        if len(digits) > len(str(_ENTRY_BIT_BUDGET)) or 4 * int(digits or 0) > _ENTRY_BIT_BUDGET:
+            raise ValueError(
+                f"the exponent of {value!r} passes the {_ENTRY_BIT_BUDGET}-bit budget for building entries"
+            )
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
-
-
-def scalar_str(value: Fraction) -> str:
-    """Serialize a rational as 'p/q', omitting the denominator when it is 1."""
-    return str(value)
 
 
 def _sign(x) -> int:
@@ -80,7 +96,7 @@ class Matrix:
         return hash(self._cells)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(scalar_str(x) for x in row) for row in self._cells)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self._cells)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     @property

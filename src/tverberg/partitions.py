@@ -433,31 +433,6 @@ def _intersection_dim(d: int, equations: Sequence[list]) -> int:
     return _grid_solution_dim(stack, d) if stack else d
 
 
-def _disjoint_families(subsets: Sequence[int], r: int):
-    """Families of 2..r pairwise-disjoint members of subsets, one at a time.
-
-    subsets are bitmasks.  One depth-first walk adds members in list order,
-    each disjoint from those already taken, and stops at depth r; so every
-    family comes out once, as a tuple of members in list order.  Sending
-    False for the family just yielded skips its extensions (with next() the
-    walk descends, so plain iteration runs every family).
-    """
-    family: list = []
-
-    def extend(start: int, used: int):
-        for j in range(start, len(subsets)):
-            member = subsets[j]
-            if member & used:
-                continue
-            family.append(member)
-            pruned = len(family) >= 2 and (yield tuple(family)) is False
-            if len(family) < r and not pruned:
-                yield from extend(j + 1, used | member)
-            family.pop()
-
-    return extend(0, 0)
-
-
 def is_strong_general_position(points: PointSequence, r: int) -> bool:
     """Every family of up to r disjoint subsets has the expected hull overlap.
 
@@ -479,12 +454,19 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
     once no subset of some size cuts, no larger one does, and the pass over
     subsets stops there.
 
-    The walk does not descend below a family whose hulls already miss each
-    other.  If a checked family F passes with an empty intersection, then
-    d + 1 = min(d + 1, sum of codim F), so the codimensions sum to at least
-    d + 1.  Any extension of F also has an empty intersection and a sum of
-    at least d + 1, so it passes; F's siblings are still checked.  Families
-    with a nonempty intersection are extended to depth r.
+    One depth-first recursion forms the families: it adds cutting subsets in
+    the order they were found, each disjoint from those already taken, and
+    checks each family of 2..r members as it forms it, so every family is
+    checked once and the first failure ends the check.  It does not descend
+    below a family whose hulls already miss each other.  If a checked family
+    F passes with an empty intersection, then d + 1 = min(d + 1, sum of
+    codim F), so the codimensions sum to at least d + 1.  Any extension of F
+    also has an empty intersection and a sum of at least d + 1, so it
+    passes; F's siblings are still checked.  Families with a nonempty
+    intersection are extended up to r members.  Such a family passes with
+    d - dim = sum of codim <= d, and each member has codimension at least
+    1, so it has at most d members: the recursion is at most min(r, d + 1)
+    deep, however large r is.
     """
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a plain integer >= 1, got {r!r}")
@@ -502,15 +484,23 @@ def is_strong_general_position(points: PointSequence, r: int) -> bool:
                     equations[mask] = rows
         if len(equations) == cut_before:
             break
-    walk = _disjoint_families(list(equations), r)
-    nonempty = None  # a walk not yet started takes only None
-    while True:
-        try:
-            family = walk.send(nonempty)
-        except StopIteration:
-            return True
-        rows = [equations[mask] for mask in family]
-        dim = _intersection_dim(d, rows)
-        if d - dim != min(d + 1, sum(map(len, rows))):
-            return False
-        nonempty = dim >= 0
+    cutting = list(equations.items())
+
+    def passes(start: int, used: int, taken: list) -> bool:
+        """Every family extending taken (the equations of the subsets in used) by later subsets passes."""
+        for j in range(start, len(cutting)):
+            mask, member = cutting[j]
+            if mask & used:
+                continue
+            family = [*taken, member]
+            if len(family) >= 2:
+                dim = _intersection_dim(d, family)
+                if d - dim != min(d + 1, sum(map(len, family))):
+                    return False
+                if dim < 0:
+                    continue
+            if len(family) < r and not passes(j + 1, used | mask, family):
+                return False
+        return True
+
+    return passes(0, 0, [])

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import ScalarLike, scalar, scalar_str, solve_linear, Matrix
+from .exact import _ENTRY_BIT_BUDGET, ScalarLike, scalar, solve_linear, Matrix
 
 
 class NotDominantError(ValueError):
@@ -36,12 +36,6 @@ class Relation(enum.Enum):
     LEFT_SIMILAR = "left_similar"
     RIGHT_SIMILAR = "right_similar"
     INCONSISTENT = "inconsistent"
-
-
-# A tabled sequence builds its entries base**e when they are first read.  An
-# entry of more bits than this (8 MiB) is refused instead: the (4,2) rung's
-# largest has 20.6 M bits, the (5,2) rung's about 4.3 * 10**9.
-_ENTRY_BIT_BUDGET = 1 << 26
 
 
 class PointSequence:
@@ -164,13 +158,13 @@ def sequence_to_json(points: PointSequence) -> dict:
         return {
             "d": points.dim,
             "n": points.length,
-            "base": scalar_str(base),
+            "base": str(base),
             "exponents": [list(row) for row in table],
         }
     return {
         "d": points.dim,
         "n": points.length,
-        "points": [[scalar_str(x) for x in points.point(i)] for i in range(1, points.length + 1)],
+        "points": [[str(x) for x in points.point(i)] for i in range(1, points.length + 1)],
     }
 
 
@@ -425,7 +419,25 @@ class _RatioTable:
         return all(self.beats(y, x) for row in self.ratios for x, y in zip(row, row[1:]))
 
     def relation(self, t: int, s: int) -> Relation:
-        """classify_pair on this table, for valid coordinates t != s.
+        """Classify how coordinate t relates to coordinate s, for ratio rows t != s.
+
+        For every i < j < k two fractions are compared against [1/q, q]: the
+        early-window fraction growth(t,i,j)/growth(s,j,k) and the late-window
+        fraction growth(t,j,k)/growth(s,i,j).  A consistent verdict across
+        all triples yields one of four relations:
+
+        * both low:   t precedes s (s's growth swamps t's in both windows);
+        * both high:  t is succeeded by s, i.e. s precedes t;
+        * early high, late low:  left-similar (the earlier window always wins);
+        * early low, late high:  right-similar (the later window always wins).
+
+        The two right-similar inequalities mirror the left-similar pair, i.e.
+        growth(t,j,k) > q*growth(s,i,j) and growth(s,j,k) > q*growth(t,i,j).
+        This symmetric reading keeps the classification invariant under
+        swapping t with s, so left and right similarity are mirror images of
+        each other.  Any fraction landing inside [1/q, q], or a verdict that
+        flips between triples, classifies as inconsistent.  The sequence is
+        positive and has at least three positions.
 
         The triples are not enumerated.  With g, h the ratio rows of t and s,
         the early fraction beats q exactly when g_j*h_j beats g_i*h_k, the
@@ -456,40 +468,6 @@ class _RatioTable:
             ("high", "low"): Relation.LEFT_SIMILAR,
             ("low", "high"): Relation.RIGHT_SIMILAR,
         }[(early.pop(), late.pop())]
-
-
-def classify_pair(a: PointSequence, q: ScalarLike, t: int, s: int) -> Relation:
-    """Classify how coordinate t relates to coordinate s.
-
-    For every i < j < k two fractions are compared against [1/q, q]:
-    the early-window fraction growth(t,i,j)/growth(s,j,k) and the late-window
-    fraction growth(t,j,k)/growth(s,i,j).  A consistent verdict across all
-    triples yields one of four relations:
-
-    * both low:   t precedes s (s's growth swamps t's in both windows);
-    * both high:  t is succeeded by s, i.e. s precedes t;
-    * early high, late low:  left-similar (the earlier window always wins);
-    * early low, late high:  right-similar (the later window always wins).
-
-    The two right-similar inequalities used here mirror the left-similar pair,
-    i.e. growth(t,j,k) > q*growth(s,i,j) and growth(s,j,k) > q*growth(t,i,j).
-    This symmetric reading keeps the classification invariant under swapping
-    t with s, so left and right similarity are mirror images of each other.
-
-    Any fraction landing inside [1/q, q], or a verdict that flips between
-    triples, classifies as inconsistent.  The triples are decided at their
-    extremes (_RatioTable.relation).
-    """
-    if a.length < 3:
-        raise ValueError("classification needs at least three positions")
-    if t == s:
-        raise ValueError("coordinates must be distinct")
-    for c in (t, s):
-        if not 1 <= c < a.dim:
-            raise IndexError(f"coordinate {c} out of range 1..{a.dim - 1}")
-    if not a.is_positive:
-        raise ValueError("classification needs positive entries")
-    return _RatioTable(a, scalar(q)).relation(t, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -745,7 +723,7 @@ def verify_pinned_combination(
     for i in range(1, a.length + 1):
         value = b[i - 1]
         if i in zero_set and value != 0:
-            violations.append(f"missing-zero: position {i} is {scalar_str(value)}")
+            violations.append(f"missing-zero: position {i} is {value}")
         if i not in zero_set and value == 0:
             violations.append(f"unexpected-zero: position {i}")
 

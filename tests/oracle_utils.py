@@ -287,13 +287,6 @@ def ceil_log_by_loop(base, value):
     return c
 
 
-def stirling2(n, k):
-    """Stirling number of the second kind, by the textbook recurrence."""
-    if n == 0 or k == 0:
-        return int(n == k)
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
 def dominance_report_by_monomials(points, partition, ell, q, row_coords):
     """dominance_report by the composition it was first written as.
 

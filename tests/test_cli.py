@@ -111,6 +111,21 @@ def test_bad_threshold_exits_two(capsys):
         assert flag in capsys.readouterr().err.strip().splitlines()[-1]
 
 
+def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path):
+    # Fraction would build 10**999999999999 before any later check could run
+    huge = write_json(tmp_path / "s.json", {"d": 1, "n": 3, "points": [["1"], ["1e999999999999"], ["5"]]})
+    part = write_json(tmp_path / "p.json", {"n": 3, "classes": [[1, 3], [2]]})
+    for argv, message in ((["check", "--seq", huge, "--partition", part], "budget"),
+                          (["gen", "--d", "1", "--r", "2", "--q", "1e999999999999"], "--q")):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert message in captured.err.strip().splitlines()[-1]
+
+
 def test_gen_is_deterministic_and_round_trips(capsys):
     assert main(["gen", "--d", "1", "--r", "2"]) == 0
     first = capsys.readouterr().out
@@ -548,6 +563,22 @@ def test_construction_flag_beside_seq_exits_two(capsys, tmp_path, line_seq, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err.strip().splitlines()[-1]
+
+
+def test_input_past_the_recursion_limit_exits_two(capsys, tmp_path):
+    # the partition walk recurses once per element, 999 here
+    assert main(["rainbow", "--d", "1", "--r", "500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines() == [
+        "error: the input is too large to enumerate within Python's recursion limit"
+    ]
+    # the JSON decoder recurses once per nesting level
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["sgp", "--seq", str(deep)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: malformed JSON in {deep}: nested too deeply"]
 
 
 @pytest.mark.parametrize("command", ["verify-universality", "enumerate", "sgp", "check"])

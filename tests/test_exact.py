@@ -1,10 +1,12 @@
 """Exact linear algebra against naive oracles and frozen cases."""
+import time
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tverberg import exact
 from tverberg.exact import (
     DimensionError,
     Matrix,
@@ -13,7 +15,6 @@ from tverberg.exact import (
     det_sign,
     rank,
     scalar,
-    scalar_str,
     solve_linear,
     _augmented_grid,
     _grid_solution_dim,
@@ -52,9 +53,23 @@ def test_scalar_accepts_int_str_fraction():
             scalar(value)
 
 
+def test_scalar_refuses_exponents_past_the_entry_budget():
+    # Fraction builds 10**|e| for a decimal exponent e; "1e10000000" alone took 6.8 s
+    assert scalar("1.5e-3") == Fraction(3, 2000)
+    assert scalar(" -2E+3 ") == -2000
+    assert scalar("1e1_000") == 10**1000
+    too_big = exact._ENTRY_BIT_BUDGET // 4 + 1
+    start = time.perf_counter()
+    for text in (f"1e{too_big}", f"1e-{too_big}", "0e999999999999", "3.25E+999999999999",
+                 "1e" + "9" * 100_000, "1e0_" + "9" * 20):
+        with pytest.raises(ValueError, match="budget"):
+            scalar(text)
+    assert time.perf_counter() - start < 1
+
+
 def test_scalar_str_round_trip():
     for value in (Fraction(0), Fraction(5), Fraction(-3, 8), Fraction(10**40, 7)):
-        assert scalar(scalar_str(value)) == value
+        assert scalar(str(value)) == value
 
 
 def test_matrix_is_immutable():

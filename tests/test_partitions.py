@@ -16,7 +16,6 @@ from tverberg.partitions import (
     CertificateMismatchError,
     DegeneratePointsError,
     Partition,
-    _disjoint_families,
     _restricted_growth,
     affine_intersection_dim,
     blocks,
@@ -41,11 +40,9 @@ from tverberg.sequences import (
 
 from oracle_utils import (
     affine_intersection_dim_by_ranks,
-    disjoint_families_by_labeling,
     is_strong_general_position_by_ranks,
     labeled_proper_partitions,
     rank_by_elimination,
-    stirling2,
 )
 
 
@@ -514,24 +511,6 @@ def test_strong_general_position_matches_family_oracle(pts, r, data):
     assert is_strong_general_position(points, r) == is_strong_general_position_by_ranks(pts, r)
 
 
-def test_disjoint_families_match_labeling_walk():
-    def key(family):
-        return frozenset(frozenset(g) for g in family)
-
-    def members(mask):
-        return [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
-
-    for n in range(1, 8):
-        subsets = list(range(1, 2**n))  # every nonempty subset of 1..n, as a bitmask
-        for r in range(1, 5):
-            families = [key(map(members, f)) for f in _disjoint_families(subsets, r)]
-            assert len(set(families)) == len(families)
-            assert set(families) == {
-                key(f) for k in range(2, r + 1) for f in disjoint_families_by_labeling(n, k)
-            }
-            assert len(families) == sum(stirling2(n + 1, k + 1) for k in range(2, r + 1))
-
-
 def test_strong_general_position_examples():
     assert is_strong_general_position(radon_line(), 2)
     # the square has two pairs of parallel sides, which is exactly the kind
@@ -554,11 +533,18 @@ def test_moment_curve_strong_general_position_depends_on_parameters():
     assert is_strong_general_position(gen_moment_curve(3, [1, 2, 4, 8, 16]), 2)
 
 
+def family_key(equations):
+    """The family whose members' hull equations _intersection_dim was handed, as a set."""
+    key = frozenset(tuple(map(tuple, rows)) for rows in equations)
+    assert len(key) == len(equations)  # no member twice
+    return key
+
+
 def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypatch):
     sup, _ = super_instance(1, 4)
     n = sup.points.length
     calls = {"_hull_equations": 0, "_intersection_dim": 0, "_grid_solution_dim": 0, "rank": 0}
-    groups = []
+    groups, families = [], []
     for module, name in ((partitions, "_hull_equations"), (partitions, "_intersection_dim"),
                          (partitions, "_grid_solution_dim"), (exact, "rank")):
 
@@ -566,6 +552,8 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
             calls[name] += 1
             if name == "_hull_equations":
                 groups.append(tuple(args[2]))
+            if name == "_intersection_dim":
+                families.append(family_key(args[1]))
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -579,6 +567,7 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
     # subsets, here the singletons; two distinct points on the line already
     # miss each other, so no family grows past a pair: C(7,2) = 21
     assert calls["_intersection_dim"] == comb(n, 2) == 21
+    assert len(set(families)) == len(families)
     assert calls["_grid_solution_dim"] == 21
     assert calls["rank"] == 0
     assert not hasattr(partitions, "rank")
@@ -587,10 +576,13 @@ def test_strong_general_position_ranks_each_subset_once(super_instance, monkeypa
 def test_strong_general_position_elimination_counts_on_the_plane(super_instance, monkeypatch):
     sup, _ = super_instance(2, 3)
     calls = {"_hull_equations": 0, "_intersection_dim": 0}
+    families = []
     for name in calls:
 
         def counted(*args, name=name, real=getattr(partitions, name)):
             calls[name] += 1
+            if name == "_intersection_dim":
+                families.append(family_key(args[1]))
             return real(*args)
 
         monkeypatch.setattr(partitions, name, counted)
@@ -601,6 +593,10 @@ def test_strong_general_position_elimination_counts_on_the_plane(super_instance,
     n = sup.points.length
     assert calls["_hull_equations"] == comb(n, 1) + comb(n, 2) + comb(n, 3) == 63
     assert calls["_intersection_dim"] == 336
+    # no family is checked twice, three-member ones included: some pairs of
+    # lines meet in a point, and the walk descends below them
+    assert len(set(families)) == len(families)
+    assert max(map(len, families)) == 3
 
 
 @pytest.mark.parametrize("d, r, deepest", [(1, 4, 2), (2, 3, 3), (1, 5, 2)])

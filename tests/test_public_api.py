@@ -14,7 +14,7 @@ BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 PUBLIC = {
     # exact
     "DimensionError", "Matrix", "SingularMatrixError", "det", "det_sign", "rank",
-    "scalar", "scalar_str", "solve_linear",
+    "scalar", "solve_linear",
     # fillings
     "DominanceReport", "Filling", "InvalidFillingError", "crossing_pairs",
     "dominance_report", "enumerate_valid_fillings", "filling_to_json",

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_utils import ceil_log_by_loop, classify_pair_by_triples, order_by_outgrowth
 from tverberg import sequences
+from tverberg.exact import scalar
 from tverberg.partitions import decide_tverberg, enumerate_proper_partitions
 from tverberg.sequences import (
     NotDominantError,
     PointSequence,
     Relation,
     chain_exponents,
-    classify_pair,
     combination_row,
     default_threshold,
     dominance_profile,
@@ -210,12 +210,17 @@ def test_order_permutation_rejects_non_pseudo_geometric():
 # pair classification
 
 
+def relation(a, q, t, s):
+    """How ratio row t relates to ratio row s at threshold q."""
+    return sequences._RatioTable(a, scalar(q)).relation(t, s)
+
+
 def test_chain_pairs_precede():
     a = gen_power_sequence(2, chain_exponents(4, 6, 2, 3))
     for t in (1, 2):
         for s in range(t + 1, 4):
-            assert classify_pair(a, 3, t, s) is Relation.PRECEDES
-            assert classify_pair(a, 3, s, t) is Relation.SUCCEEDED_BY
+            assert relation(a, 3, t, s) is Relation.PRECEDES
+            assert relation(a, 3, s, t) is Relation.SUCCEEDED_BY
 
 
 def test_uniform_schedule_is_inconsistent():
@@ -223,7 +228,7 @@ def test_uniform_schedule_is_inconsistent():
     # symmetric triples and no verdict clears the threshold
     a = gen_power_sequence(4, uniform_exponents(3, 5))
     assert is_ordered(a, 3)
-    assert classify_pair(a, 3, 1, 2) is Relation.INCONSISTENT
+    assert relation(a, 3, 1, 2) is Relation.INCONSISTENT
     assert not is_dominant(a, 3)
 
 
@@ -240,35 +245,21 @@ def test_two_positions_classify_no_pair():
 
 def test_right_similar_schedule():
     a = right_similar_sequence(5)
-    assert classify_pair(a, 3, 1, 2) is Relation.RIGHT_SIMILAR
-    assert classify_pair(a, 3, 2, 1) is Relation.RIGHT_SIMILAR
+    assert relation(a, 3, 1, 2) is Relation.RIGHT_SIMILAR
+    assert relation(a, 3, 2, 1) is Relation.RIGHT_SIMILAR
 
 
 def test_left_similar_schedule():
     a = left_similar_sequence(5)
-    assert classify_pair(a, 3, 1, 2) is Relation.LEFT_SIMILAR
-    assert classify_pair(a, 3, 2, 1) is Relation.LEFT_SIMILAR
+    assert relation(a, 3, 1, 2) is Relation.LEFT_SIMILAR
+    assert relation(a, 3, 2, 1) is Relation.LEFT_SIMILAR
 
 
 def test_right_similar_frozen_triple():
     a = right_similar_sequence(3)
     assert growth_ratio(a, 1, 1, 2) == 2**4
     assert growth_ratio(a, 2, 2, 3) == 2**8
-    assert classify_pair(a, 3, 1, 2) is Relation.RIGHT_SIMILAR
-
-
-def test_classify_pair_rejects_bad_arguments():
-    a = right_similar_sequence(3)
-    with pytest.raises(ValueError):
-        classify_pair(a, 3, 1, 1)
-    with pytest.raises(IndexError):
-        classify_pair(a, 3, 1, 3)
-    short = PointSequence([[1, 2], [2, 8]])
-    with pytest.raises(ValueError):
-        classify_pair(short, 3, 1, 1)
-    for bad in (0, -4):
-        with pytest.raises(ValueError, match="positive"):
-            classify_pair(PointSequence([[1, 1, 1], [2, bad, 8], [4, 16, 64]]), 3, 1, 2)
+    assert relation(a, 3, 1, 2) is Relation.RIGHT_SIMILAR
 
 
 ORACLE_QS = [Fraction(x) for x in ("-2", "-1/2", "0", "1/4", "1/2", "1", "3/2", "2", "3", "4", "9")]
@@ -309,7 +300,7 @@ def test_classify_pair_matches_the_triple_scan():
         for a, route in ((PointSequence(rows), "fraction"), (tabled, "exponent" if q > 0 else "fraction")):
             for t, s in itertools.permutations(range(1, a.dim), 2):
                 expected = classify_pair_by_triples(a, q, t, s)
-                assert classify_pair(a, q, t, s) is expected, (route, base, q, table, t, s)
+                assert relation(a, q, t, s) is expected, (route, base, q, table, t, s)
                 seen[route].add(expected)
     assert seen["fraction"] == seen["exponent"] == set(Relation)
 
@@ -335,7 +326,7 @@ def test_classify_pair_cost_is_linear_in_length(monkeypatch):
     for t, s in itertools.permutations(range(1, witness.dim), 2):
         calls = 0
         expected = Relation.PRECEDES if t < s else Relation.SUCCEEDED_BY
-        assert classify_pair(witness, built.q, t, s) is expected
+        assert relation(witness, built.q, t, s) is expected
         assert 0 < calls <= 8 * (witness.length - 2)
 
 
@@ -766,8 +757,8 @@ def growth_outcomes(a, q):
         is_dominant,
     ]
     found = [outcome(lambda: predicate(a, q)) for predicate in predicates]
-    if a.dim >= 3:
-        found.append(outcome(lambda: classify_pair(a, q, 1, 2)))
+    if a.dim >= 3 and a.length >= 3:
+        found.append(outcome(lambda: relation(a, q, 1, 2)))
     return found
 
 
