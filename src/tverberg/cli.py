@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import scalar
+from .exact import _BudgetError, scalar
 from .fillings import (
     _dominant_sign,
     _grid_height,
@@ -383,13 +383,19 @@ def cmd_sgp(config: argparse.Namespace) -> int:
 
 
 def _checked(kind, holds, requirement: str):
-    """An argparse type: parse with kind, then reject values failing holds."""
+    """An argparse type: parse with kind, then reject values failing holds.
+
+    A value past the entry-bit budget is refused with the budget's own
+    message; argparse words every other ValueError as "invalid <kind> value".
+    """
 
     def parse(text: str):
         try:
             value = kind(text)
         except ZeroDivisionError as exc:
             raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+        except _BudgetError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
         if not holds(value):
             raise argparse.ArgumentTypeError(f"must {requirement}, got {text}")
         return value
@@ -403,7 +409,7 @@ _ABOVE_ONE = _checked(scalar, lambda v: v > 1, "exceed 1")
 _FLAGS = {
     "d": dict(type=_checked(int, lambda v: v >= 1, "be at least 1"), help="ambient dimension"),
     "r": dict(type=_checked(int, lambda v: v >= 2, "be at least 2"), help="number of classes"),
-    "q": dict(type=_ABOVE_ONE, help="dominance threshold, e.g. 721 or 3/2"),
+    "q": dict(type=_ABOVE_ONE, help="dominance threshold, e.g. 49 or 3/2"),
     "base": dict(type=_ABOVE_ONE, help="power base of a constructed sequence (default 2)"),
     "seq": dict(dest="seq_path", metavar="FILE", help="point sequence JSON file"),
     "partition": dict(dest="partition_path", metavar="FILE", help="partition JSON file"),

@@ -23,11 +23,15 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 ScalarLike = Union[Fraction, int, str]
 
 # An entry of more bits than this (8 MiB) is refused instead of built: the
-# (4,2) rung's largest has 20.6 M bits, the (5,2) rung's about 4.3 * 10**9.
+# (4,2) rung's largest has 7.1 M bits, the (5,2) rung's about 1.6 * 10**9.
 _ENTRY_BIT_BUDGET = 1 << 26
 
 # The exponent of a decimal string such as "1.5e-7", in Fraction's grammar.
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+class _BudgetError(ValueError):
+    """An input would build an entry past _ENTRY_BIT_BUDGET."""
 
 
 class DimensionError(ValueError):
@@ -52,7 +56,7 @@ def scalar(value: ScalarLike) -> Fraction:
         found = _DECIMAL_EXPONENT.search(value)
         digits = found[1].replace("_", "").lstrip("0") if found else ""
         if len(digits) > len(str(_ENTRY_BIT_BUDGET)) or 4 * int(digits or 0) > _ENTRY_BIT_BUDGET:
-            raise ValueError(
+            raise _BudgetError(
                 f"the exponent of {value!r} passes the {_ENTRY_BIT_BUDGET}-bit budget for building entries"
             )
     if isinstance(value, (int, str)) and not isinstance(value, bool):

@@ -475,7 +475,10 @@ def _dominant_signs(classes: tuple, profile: DominanceProfile, row_coords: tuple
     find_dominant_filling, without a Filling); it is the determinant's sign
     when the ordered lift, read in the order row_coords, is dominant at q >=
     default_threshold(d, r) under profile (criteria 4 and 5), since every
-    lifted entry of such a sequence is positive.  The partition is Tverberg
+    lifted entry of such a sequence is positive.  That threshold is one
+    above the largest monomial count N of det(M_ell), and a monomial that
+    beats the runner-up by q >= N - 1 outweighs the other N - 1 together, so
+    it fixes the sign (see default_threshold).  The partition is Tverberg
     exactly when the list ends on the sign it starts with.  memo, one dict
     per profile, carries the checked sub-band splits from call to call.
     """

@@ -340,10 +340,13 @@ def enumerate_tverberg(points: PointSequence, cross_check: bool = False) -> list
     When the ordered lift of the points is dominant at default_threshold(d,
     r), each partition is decided by the signs of the dominant monomials of
     det(M_1), det(M_2), ..., stopping at the first that disagrees, and no
-    system is solved.  Any other sequence takes the solve route.  With
-    cross_check on, the solve route with its Cramer check runs on every
-    partition as well, and a dominant sign that differs from the
-    determinant's raises CertificateMismatchError.
+    system is solved.  That threshold exceeds the monomial count of every
+    det(M_ell) less one, so a dominant monomial that beats the runner-up by
+    it outweighs all the others together and has the determinant's sign.
+    Any other sequence takes the solve route.  With cross_check on, the
+    solve route with its Cramer check runs on every partition as well, and
+    a dominant sign that differs from the determinant's raises
+    CertificateMismatchError.
 
     On the solve route, a partition with a singular system is kept out of
     the result only when the classes' affine hulls provably have empty

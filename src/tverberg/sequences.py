@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import _ENTRY_BIT_BUDGET, ScalarLike, scalar, solve_linear, Matrix
+from .exact import _ENTRY_BIT_BUDGET, _BudgetError, ScalarLike, scalar, solve_linear, Matrix
 
 
 class NotDominantError(ValueError):
@@ -144,7 +144,7 @@ def _powers(base: Fraction, table: tuple) -> tuple:
     top = max(abs(e) for row in table for e in row)
     bits = top * (base.numerator - 1).bit_length() + 1
     if bits > _ENTRY_BIT_BUDGET:
-        raise ValueError(
+        raise _BudgetError(
             f"the sequence's largest entry would have up to {bits} bits, over the"
             f" {_ENTRY_BIT_BUDGET}-bit budget for building entries"
         )
@@ -293,8 +293,28 @@ def chain_exponents(rows: int, length: int, base: ScalarLike, q: ScalarLike) -> 
 
 
 def default_threshold(d: int, r: int) -> Fraction:
-    """The stock dominance threshold for r classes in dimension d."""
-    return Fraction(factorial(r * (d + 1)) + 1)
+    """The stock dominance threshold for r classes in dimension d: 1 + N_max.
+
+    The sign argument: if det(M_ell) has N nonzero monomials, the dominant
+    one beats the runner-up by |dominant| > q*|runner-up|, and q >= N - 1,
+    then the other N - 1 monomials sum to less than |dominant| in absolute
+    value, so the dominant monomial fixes sign det(M_ell).  N_max is the
+    largest such N over the proper partitions P of n = (r-1)(d+1)+1 and
+    every ell.  With h = d + 1 grid rows, class C_m fills h - z_m of them
+    and puts a marker in the other z_m = h - |C_m minus ell|; the markers,
+    one per row, number sum z_m = h.  So there are h!/prod z_m! marker
+    patterns, each with prod (h - z_m)! fillings:
+    N(P, ell) = h! * prod_m (h - z_m)!/z_m!.  Every z >= 0 summing to h
+    arises from some (P, ell), and at most h classes hold a marker, so the
+    maximum is a DP over marker totals on min(r, h) classes, times h! for
+    each class left without one.  No partition is enumerated.
+    """
+    h = d + 1
+    # best[t]: the largest t!/prod z_m! * prod (h - z_m)! over the classes so far, sum z_m = t
+    best = [1] + [0] * h
+    for _ in range(min(r, h)):
+        best = [max(best[t - z] * comb(t, z) * factorial(h - z) for z in range(t + 1)) for t in range(h + 1)]
+    return Fraction(best[h] * factorial(h) ** (r - min(r, h)) + 1)
 
 
 def lift(points: PointSequence) -> PointSequence:

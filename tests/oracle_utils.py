@@ -5,7 +5,7 @@ determinants, textbook Gaussian elimination over Fraction, brute-force
 enumeration for combinatorial counts.  Slow but hard to get wrong.
 """
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from tverberg.exact import det, scalar
 from tverberg.fillings import (
@@ -16,8 +16,14 @@ from tverberg.fillings import (
     enumerate_valid_fillings,
     monomial_value,
 )
-from tverberg.partitions import build_system
-from tverberg.sequences import Relation, growth_ratio
+from tverberg.partitions import build_system, tverberg_number
+from tverberg.sequences import (
+    NotDominantError,
+    Relation,
+    _certified_profile,
+    gen_power_sequence,
+    growth_ratio,
+)
 
 
 def perm_sign(perm):
@@ -378,3 +384,69 @@ def dominant_grid_by_recursion(partition, ell, profile):
 
     solve(0, profile.gaps, tuple(tuple(sorted(set(cls) - {ell})) for cls in partition.classes))
     return tuple(grid)
+
+
+def abstract_profiles(d):
+    """Every dominance profile on gaps 1..d, as (classes, kinds).
+
+    classes is an ordered set partition of 1..d, least dominant level
+    first, each level a sorted tuple; a level of two or more gaps is left-
+    or right-similar, a singleton has kind None, as dominance_profile
+    reports them.
+    """
+    def levels(rest):
+        if not rest:
+            yield ()
+            return
+        for size in range(1, len(rest) + 1):
+            for first in combinations(rest, size):
+                for tail in levels(tuple(t for t in rest if t not in first)):
+                    yield (first, *tail)
+
+    similar = (Relation.LEFT_SIMILAR, Relation.RIGHT_SIMILAR)
+    for classes in levels(tuple(range(1, d + 1))):
+        choices = [similar if len(level) > 1 else (None,) for level in classes]
+        for kinds in product(*choices):
+            yield classes, kinds
+
+
+def realize_profile(d, r, classes, kinds, q, ones_at=0):
+    """A tabled sequence of tverberg_number(r, d) points in R^d with a given profile.
+
+    Its ordered lift certifies at q with dominance classes classes and kinds
+    kinds (abstract_profiles), and the ones row sits at ordered position
+    ones_at.  None when no g up to 40 realizes it.
+
+    1. Gap t of the ordered lift, the exponent step from ordered row t - 1
+       to row t, is s * i (a singleton), s * 2**i (right-similar: the later
+       window wins) or -s * 2**(n - i) (left-similar: the earlier one wins)
+       at position i, with s = 2**(g * (level + 1)) for the level of t.
+    2. The ordered rows are the running sums of the gaps from the ones row
+       (all zeros); g rises from 1 until the profile certifies as asked.
+    3. Subtracting row ones_at from every row divides each lifted point by
+       a positive number, which keeps the profile and the Tverberg
+       partitions; row ones_at becomes the ones row and is dropped.
+    4. The coordinates are listed in reverse, so ordered_lift must sort them.
+    """
+    n = tverberg_number(r, d)
+    level = {t: k for k, members in enumerate(classes) for t in members}
+    kind = {t: kinds[k] for k, members in enumerate(classes) for t in members}
+    shapes = {
+        None: lambda i: i,
+        Relation.RIGHT_SIMILAR: lambda i: 2**i,
+        Relation.LEFT_SIMILAR: lambda i: -(2 ** (n - i)),
+    }
+    for g in range(1, 41):
+        rows = [[0] * n]
+        for t in range(1, d + 1):
+            s = 2 ** (g * (level[t] + 1))
+            rows.append([e + s * shapes[kind[t]](i) for i, e in enumerate(rows[-1], start=1)])
+        table = [[e - f for e, f in zip(row, rows[ones_at])] for k, row in enumerate(rows) if k != ones_at]
+        points = gen_power_sequence(2, table)._pick(range(d - 1, -1, -1), range(n))
+        try:
+            profile, coords = _certified_profile(points, q)
+        except NotDominantError:
+            continue
+        if profile.classes == tuple(classes) and profile.kinds == tuple(kinds) and coords[ones_at] == 0:
+            return points
+    return None

@@ -6,6 +6,7 @@ Each test prints a single "criterion N: PASS/FAIL" line on the real stdout
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -91,10 +92,18 @@ def test_criterion_03_rainbow_counts(report):
     report(3, ok, f"rainbow counts (1,2)->{len(one)}, (1,3)->{len(two)}, all pass is_rainbow")
 
 
+# Criteria 4 and 5 run at the default threshold, one above the largest
+# monomial count of det(M_ell), and at (r(d+1))! + 1, which bounds the terms
+# of the whole r(d+1)-square determinant.
+SMALL_RUNGS_AT_BOTH_THRESHOLDS = [
+    (d, r, q) for d, r in ((1, 2), (1, 3), (2, 2)) for q in (None, factorial(r * (d + 1)) + 1)
+]
+
+
 def test_criterion_04_dominant_filling_matches_argmax(super_instance, report):
     checked = 0
-    for d, r in ((1, 2), (1, 3), (2, 2)):
-        sup, profile = super_instance(d, r)
+    for d, r, q in SMALL_RUNGS_AT_BOTH_THRESHOLDS:
+        sup, profile = super_instance(d, r, q)
         n = sup.points.length
         for partition in enumerate_proper_partitions(n, r, d + 1):
             for ell in range(1, n + 1):
@@ -112,8 +121,8 @@ def test_criterion_04_dominant_filling_matches_argmax(super_instance, report):
 
 def test_criterion_05_dominant_sign_matches_determinant(super_instance, report):
     checked = 0
-    for d, r in ((1, 2), (1, 3), (2, 2)):
-        sup, profile = super_instance(d, r)
+    for d, r, q in SMALL_RUNGS_AT_BOTH_THRESHOLDS:
+        sup, profile = super_instance(d, r, q)
         n = sup.points.length
         for partition in enumerate_proper_partitions(n, r, d + 1):
             system = build_system(sup.points, partition)

@@ -115,15 +115,26 @@ def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path):
     # Fraction would build 10**999999999999 before any later check could run
     huge = write_json(tmp_path / "s.json", {"d": 1, "n": 3, "points": [["1"], ["1e999999999999"], ["5"]]})
     part = write_json(tmp_path / "p.json", {"n": 3, "classes": [[1, 3], [2]]})
-    for argv, message in ((["check", "--seq", huge, "--partition", part], "budget"),
-                          (["gen", "--d", "1", "--r", "2", "--q", "1e999999999999"], "--q")):
+    budget = "the exponent of '1e999999999999' passes the 67108864-bit budget for building entries"
+    for argv, message in ((["check", "--seq", huge, "--partition", part], budget),
+                          (["gen", "--d", "1", "--r", "2", "--q", "1e999999999999"], "argument --q: " + budget),
+                          (["gen", "--d", "1", "--r", "2", "--base", "1e999999999999"], "argument --base: " + budget)):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert message in captured.err.strip().splitlines()[-1]
+        assert captured.err.strip().splitlines()[-1].endswith(message)
+
+
+def test_malformed_flag_values_keep_the_argparse_message(capsys):
+    for flag, text, kind in (("--q", "abc", "scalar"), ("--base", "2/x", "scalar"),
+                             ("--d", "1e9", "int"), ("--r", "2.5", "int")):
+        argv = ["gen", "--d", "1", "--r", "2", flag, text]
+        assert main(argv) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.endswith(f"argument {flag}: invalid {kind} value: '{text}'")
 
 
 def test_gen_is_deterministic_and_round_trips(capsys):
@@ -136,12 +147,12 @@ def test_gen_is_deterministic_and_round_trips(capsys):
 
 
 def test_gen_with_a_base_just_above_one_finishes(capsys):
-    # Its chain multiplier is about 3.2 million, the base-log of 25.
+    # Its chain multiplier is about 1.1 million, the base-log of 3.
     start = time.perf_counter()
     assert main(["gen", "--d", "1", "--r", "2", "--base", "1000001/1000000"]) == 0
     assert time.perf_counter() - start < 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["base"] == "1000001/1000000" and payload["exponents"] == [[6437758, 12875516, 19313274]]
+    assert payload["base"] == "1000001/1000000" and payload["exponents"] == [[2197228, 4394456, 6591684]]
 
 
 def test_gen_uniform_schedule(capsys):
@@ -225,7 +236,7 @@ def test_malformed_compact_sequence_exits_two(capsys, tmp_path, change, message)
 
 
 def test_commands_that_need_entries_refuse_an_oversized_file(capsys, tmp_path):
-    # The (5,2) file's largest entry, 2**4307689260, would take about 0.5 GiB;
+    # The (5,2) file's largest entry, 2**1579486062, would take about 0.18 GiB;
     # the four commands that read entries exit 2 before building any.
     seq = str(tmp_path / "s.json")
     assert main(["gen", "--d", "5", "--r", "2", "--out", seq]) == 0
@@ -240,7 +251,7 @@ def test_commands_that_need_entries_refuse_an_oversized_file(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
-            r"error: the sequence's largest entry would have up to 4307689261 bits,"
+            r"error: the sequence's largest entry would have up to 1579486063 bits,"
             r" over the \d+-bit budget for building entries",
             captured.err.strip(),
         )

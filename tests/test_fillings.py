@@ -732,6 +732,21 @@ def test_dominance_report_matches_the_monomial_composition(super_instance, d, r,
             assert report.ok
 
 
+@pytest.mark.parametrize("d, r", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+def test_dominance_report_confirms_every_dominant_filling_at_the_default_threshold(super_instance, d, r):
+    # The default q is one above the largest monomial count, just enough for
+    # the dominant monomial to fix the sign of det(M_ell).
+    sup, profile = super_instance(d, r)
+    assert sup.q == default_threshold(d, r)
+    _, coords = ordered_lift(sup.points, sup.q)
+    n = sup.points.length
+    for partition in enumerate_proper_partitions(n, r, d + 1):
+        for ell in range(1, n + 1):
+            report = dominance_report(sup.points, partition, ell, sup.q, coords)
+            assert report.ok, (partition, ell, report.violations)
+            assert report.dominant == find_dominant_filling(partition, ell, profile), (partition, ell)
+
+
 def test_dominance_report_matches_the_monomial_composition_off_dominance():
     # fractional entries with zeros and signs, rows read in a shuffled order:
     # ties, zero determinants and both violation kinds, compared as text

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tverberg import exact, fillings, partitions, sequences
 from tverberg.exact import DimensionError, Matrix, _scaled_int_rows, det, det_sign
-from tverberg.fillings import _band_rows, _dominant_sign, _dominant_signs, find_dominant_filling
+from tverberg.fillings import _band_rows, _dominant_sign, _dominant_signs, dominance_report, find_dominant_filling
 from tverberg.partitions import (
     CertificateMismatchError,
     DegeneratePointsError,
@@ -39,10 +39,12 @@ from tverberg.sequences import (
 )
 
 from oracle_utils import (
+    abstract_profiles,
     affine_intersection_dim_by_ranks,
     is_strong_general_position_by_ranks,
     labeled_proper_partitions,
     rank_by_elimination,
+    realize_profile,
 )
 
 
@@ -311,7 +313,7 @@ def test_cross_check_runs_both_routes():
 
 @pytest.mark.parametrize("d, r", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
 def test_cross_check_on_super_instances(super_instance, d, r):
-    # Entries reach ~9 k bits at (2,3) and ~150 k at (3,2).  On every proper
+    # Entries reach ~3 k bits at (2,3) and ~53 k at (3,2).  On every proper
     # partition the solve route and the Cramer route agree (decide_tverberg
     # raises otherwise), the dominant-monomial signs give the same verdict
     # and equal the determinant signs they reach, and a rejection's first
@@ -365,7 +367,7 @@ def test_dominant_route_with_the_ones_row_off_the_slowest_position(super_instanc
         _, coords = sequences._certified_profile(points, default_threshold(d, r))
         assert coords.index(0) == k
         assert enumerate_tverberg(points) == enumerate_rainbow(d, r), k
-        if d + r <= 4:  # cross-checking every partition takes 8 s at (2,3)
+        if d + r <= 4:  # cross-checking every partition takes 1.1 s at (2,3), 8 s at (3,2)
             assert enumerate_tverberg(points, cross_check=True) == enumerate_rainbow(d, r), k
 
 
@@ -379,6 +381,82 @@ def test_walk_signs_are_the_determinants_with_the_ones_row_moved(super_instance)
         for p in enumerate_proper_partitions(points.length, r, d + 1)[::7]:
             signs = _dominant_signs(p.classes, *certificate, memo)
             assert tuple(signs) == decide_tverberg(points, p, cross_check=True).det_signs[: len(signs)], (k, p)
+
+
+@pytest.mark.parametrize("d, r, step", [(2, 2, 1), (2, 3, 5), (3, 2, 3)])
+def test_dominant_route_on_every_dominance_profile(d, r, step):
+    # Every super instance has a chain profile, which never cuts a band
+    # inside; these realize every profile, with the ones row at every
+    # ordered position, at the default threshold.  On every partition the
+    # dominant sign of each ell is the Cramer sign and the verdicts are the
+    # rainbow set; every step-th partition, a shifting offset apart from
+    # instance to instance, also gets the brute-force dominance report.
+    q = default_threshold(d, r)
+    rainbow = enumerate_rainbow(d, r)
+    instances = 0
+    for classes, kinds in abstract_profiles(d):
+        for ones_at in range(d + 1):
+            points = realize_profile(d, r, classes, kinds, q, ones_at)
+            assert points is not None, (classes, kinds, ones_at)
+            profile, coords = sequences._certified_profile(points, q)
+            assert (profile.classes, profile.kinds, coords[ones_at]) == (classes, kinds, 0)
+            n = points.length
+            found = []
+            for index, p in enumerate(enumerate_proper_partitions(n, r, d + 1)):
+                verdict = decide_tverberg(points, p, cross_check=True)
+                for ell in range(1, n + 1):
+                    filling = find_dominant_filling(p, ell, profile)
+                    assert _dominant_sign(filling.grid, ell, n, coords) == verdict.det_signs[ell - 1], (p, ell)
+                    if index % step == instances % step:
+                        report = dominance_report(points, p, ell, q, coords)
+                        assert report.ok and report.dominant == filling, (p, ell, report.violations)
+                if verdict.is_tverberg:
+                    found.append(p)
+            assert found == enumerate_tverberg(points) == rainbow, (classes, kinds, ones_at)
+            instances += 1
+    assert instances == {2: 4 * 3, 3: 20 * 4}[d]
+
+
+def test_certificates_survive_the_smaller_threshold():
+    # q = (r(d+1))! + 1 bounds the terms of the whole r(d+1)-square
+    # determinant, the default only the monomials of det(M_ell).  A sequence
+    # certified at the larger q certifies at the default with the same
+    # profile; one certified at the default only is cross-checked.
+    rng = random.Random(27)
+
+    def certificate(points, q):
+        try:
+            profile, coords = sequences._certified_profile(points, q)
+        except sequences.NotDominantError:
+            return None
+        return coords, profile.classes, profile.kinds, profile.order
+
+    outcomes = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+    cross_checked = 0
+    for _ in range(300):
+        d, r = rng.choice([(1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (3, 2)])
+        n = tverberg_number(r, d)
+        lifted = [[0] * n]  # running sums of d increasing exponent gap rows
+        for _ in range(d):
+            scale, e = rng.choice([1, 2, 4, 8, 16, 64]), 0
+            steps = [e := e + scale * rng.randint(1, 24) for _ in range(n)]
+            lifted.append([x + y for x, y in zip(lifted[-1], steps)])
+        rng.shuffle(lifted)  # the ones row lands anywhere
+        table = tuple(tuple(row) for row in lifted if any(row))
+        points = sequences._tabled(Fraction(2), table)
+        wide = certificate(points, factorial(r * (d + 1)) + 1)
+        default = certificate(points, default_threshold(d, r))
+        outcomes[wide is not None, default is not None] += 1
+        if wide is not None:
+            assert default == wide, table
+        elif default is not None:
+            # Cross-checking all 175 partitions at (2,3) takes about 1.7 s,
+            # so the two larger rungs compare the dominant route's set alone.
+            found = enumerate_tverberg(points, cross_check=d * r <= 4)
+            assert found == enumerate_rainbow(d, r), table
+            cross_checked += d * r <= 4
+    assert outcomes[True, True] >= 100 and outcomes[False, True] >= 25 and outcomes[False, False] >= 100
+    assert cross_checked >= 25
 
 
 @given(st.data())

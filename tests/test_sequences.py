@@ -3,8 +3,10 @@ import itertools
 import pickle
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from oracle_utils import ceil_log_by_loop, classify_pair_by_triples, order_by_outgrowth
 from tverberg import sequences
 from tverberg.exact import scalar
-from tverberg.partitions import decide_tverberg, enumerate_proper_partitions
+from tverberg.fillings import _transversals
+from tverberg.partitions import decide_tverberg, enumerate_proper_partitions, tverberg_number
 from tverberg.sequences import (
     NotDominantError,
     PointSequence,
@@ -476,11 +479,38 @@ def test_subsequences_of_dominant_sequences_stay_dominant(data):
 
 def test_gen_super_dominant_small():
     built = gen_super_dominant(1, 2)
-    assert built.q == default_threshold(1, 2) == 25
+    assert built.q == default_threshold(1, 2) == 3
     assert built.points.dim == 1 and built.points.length == 3
     assert built.lifted.row(1) == (1, 1, 1)
     assert built.lifted == built.witness.strided(2)
     assert is_dominant(built.witness, built.q)
+
+
+@pytest.mark.parametrize("d, r", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (1, 4)])
+def test_default_threshold_is_one_above_the_largest_monomial_count(d, r):
+    # The dominant monomial fixes the sign of det(M_ell) once it beats the
+    # runner-up by q >= N - 1, N being the number of monomials.
+    n = tverberg_number(r, d)
+    largest = max(
+        sum(prod(map(len, ways)) for ways in _transversals(partition, ell))
+        for partition in enumerate_proper_partitions(n, r, d + 1)
+        for ell in range(1, n + 1)
+    )
+    assert default_threshold(d, r) == largest + 1
+
+
+def test_default_threshold_values():
+    expected = {(1, 2): 3, (2, 3): 49, (3, 2): 25, (2, 4): 289, (3, 3): 865, (4, 2): 121, (4, 3): 25921}
+    assert {key: default_threshold(*key) for key in expected} == expected
+    assert all(type(default_threshold(*key)) is Fraction for key in expected)
+
+
+def test_default_threshold_enumerates_no_partition():
+    # (1, 1000) has 500,500 proper partitions of 1001 elements; the count is
+    # a DP over marker totals, times h! for each class left without a marker.
+    start = time.perf_counter()
+    assert default_threshold(1, 1000) == 2**999 + 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_gen_super_dominant_plane():
@@ -638,7 +668,7 @@ def test_lazy_entries_equal_eager_ones():
 
 
 def test_construction_builds_no_entries():
-    # Eager (4,2) entries, of up to 20.6 M bits, took about 64 MiB.
+    # Eager (4,2) entries, of up to 7.1 M bits, take about 23 MiB.
     tracemalloc.start()
     try:
         built = gen_super_dominant(4, 2)
