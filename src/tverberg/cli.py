@@ -315,12 +315,16 @@ def cmd_dominant(config: argparse.Namespace) -> int:
         }
         if config.oracle:
             report = dominance_report(points, partition, ell, q, coords)
-            ell_ok = report.ok and report.dominant == filling
-            agree = agree and ell_ok
-            record["oracle"] = "agree" if ell_ok else "disagree"
-            lines.append(f"oracle: {'AGREE' if ell_ok else 'DISAGREE'}")
-            if not ell_ok:
-                lines.extend("  " + v for v in report.violations)
+            reasons = list(report.violations)
+            if report.dominant != filling:
+                grid = json.dumps(filling_to_json(report.dominant)["grid"])
+                reasons.append(f"argmax-mismatch: the brute-force largest monomial has grid {grid}")
+            agree = agree and not reasons
+            record["oracle"] = "disagree" if reasons else "agree"
+            lines.append(f"oracle: {'DISAGREE' if reasons else 'AGREE'}")
+            if reasons:
+                record["oracle_reasons"] = reasons
+                lines.extend("  " + v for v in reasons)
         records.append(record)
     if config.oracle:
         lines.append("")

@@ -13,13 +13,6 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
-try:
-    # Optional: GMP-backed integers make the elimination kernels much faster on
-    # very large entries.  Results are identical; plain int is the fallback.
-    from gmpy2 import mpz as _bigint
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _bigint = int
-
 ScalarLike = Union[Fraction, int, str]
 
 # An entry of more bits than this (8 MiB) is refused instead of built: the
@@ -131,7 +124,7 @@ def _scaled_int_rows(rows: Iterable[Sequence[Fraction]]):
     grid, scales = [], []
     for row in rows:
         mult = lcm(*(x.denominator for x in row))
-        grid.append([_bigint(x.numerator * (mult // x.denominator)) for x in row])
+        grid.append([x.numerator * (mult // x.denominator) for x in row])
         scales.append(mult)
     return grid, scales
 
@@ -149,7 +142,7 @@ def _fewest_bits(grid: list, first_row: int, free: list):
             x = row[c]
             if not x:
                 continue
-            bits = x.bit_length()  # of the magnitude, for int and mpz alike
+            bits = x.bit_length()
             if bits == 1:
                 return i, k
             if best is None or bits < best_bits:
@@ -174,7 +167,7 @@ def _eliminate(grid: list, width: int) -> tuple:
     tail = range(width, n_cols)
     pivots = []
     sign = 1
-    prev = _bigint(1)
+    prev = 1
     for r in range(n_rows):
         best = _fewest_bits(grid, r, free)
         if best is None:
@@ -216,7 +209,7 @@ def det(m: Matrix) -> Fraction:
     if not m.is_square:
         raise DimensionError("determinant needs a square matrix")
     grid, scales = _scaled_int_rows(m)
-    return Fraction(int(_grid_det(grid)), prod(scales))
+    return Fraction(_grid_det(grid), prod(scales))
 
 
 def det_sign(m: Matrix) -> int:
@@ -261,8 +254,8 @@ def solve_linear(m: Matrix, b: Sequence[ScalarLike]) -> tuple:
     # Fraction steps cancel as they go; integer Cramer numerators (full determinant size) ran slower.
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(int(grid[i][n]))
+        acc = Fraction(grid[i][n])
         for j in pivots[i + 1:]:
-            acc -= Fraction(int(grid[i][j])) * solution[j]
-        solution[pivots[i]] = acc / Fraction(int(grid[i][pivots[i]]))
+            acc -= grid[i][j] * solution[j]
+        solution[pivots[i]] = acc / grid[i][pivots[i]]
     return tuple(solution)

@@ -31,7 +31,7 @@ from .partitions import (
     partition_to_json,
     tverberg_number,
 )
-from .sequences import DominanceProfile, PointSequence, growth_ratio, lift
+from .sequences import DominanceProfile, PointSequence, growth_product, lift
 
 
 class InvalidFillingError(ValueError):
@@ -288,11 +288,8 @@ def crossing_pairs(filling: Filling, s: int, t: int) -> tuple:
 
 def switch_ratio(filling: Filling, points: PointSequence, s: int, t: int) -> Fraction:
     """Exact value ratio w''/w of the z-switch between marker rows s and t."""
-    lifted = lift(points)
-    ratio = Fraction(1)
-    for u, i_u, j_u in crossing_pairs(filling, s, t):
-        ratio *= growth_ratio(lifted, u, i_u, j_u)
-    return ratio
+    pairs = {u: (i_u, j_u) for u, i_u, j_u in crossing_pairs(filling, s, t)}
+    return growth_product(lift(points), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +542,7 @@ def dominance_report(
     coords = _row_order(height, n, points, row_coords)
     ints, scales = _scaled_int_rows(points.rows)
     minor = _cramer_det(_cramer_matrix(ints, partition), (height - 1) * n, ell - 1)
-    determinant = Fraction(int(minor), prod(scales) ** (partition.r - 1))
+    determinant = Fraction(minor, prod(scales) ** (partition.r - 1))
     lifted = [[1] * n, *ints]
     scale = prod(scales) ** partition.r
     markers = prod(-s for s in scales)  # one marker on each row but the ones row
@@ -571,9 +568,9 @@ def dominance_report(
                 second = size
 
     top_parity, top_value, placed = top
-    dominant_value = Fraction(int(top_value), scale)
-    runner_up = Fraction(int(second), scale) if count > 1 else None
-    total = Fraction(int(total), scale)
+    dominant_value = Fraction(top_value, scale)
+    runner_up = Fraction(second, scale) if count > 1 else None
+    total = Fraction(total, scale)
 
     violations = []
     if runner_up is not None and abs(dominant_value) <= threshold * runner_up:

@@ -180,22 +180,22 @@ class TverbergSystem(NamedTuple):
     rhs: tuple
 
 
-def _common_point_system(coords, scales, one, groups) -> list:
+def _common_point_system(coords, scales, groups) -> list:
     """Rows of [M | b]: affine weights per group, all placing the group's points at one z.
 
     coords[t - 1][i - 1] is coordinate t of position i times scales[t - 1] > 0;
-    the other entries are `one` and `one - one` (Fraction or int).  Position
-    i's weight takes column i - 1, and z_1..z_d the d columns after the last
-    position's.  Each group adds d + 1 rows: sum(alpha_i) = 1, then for t =
-    1..d sum(alpha_i p_i,t) - z_t = 0 times scales[t - 1], i over the group.
+    the other entries are the integers 0 and 1.  Position i's weight takes
+    column i - 1, and z_1..z_d the d columns after the last position's.  Each
+    group adds d + 1 rows: sum(alpha_i) = 1, then for t = 1..d
+    sum(alpha_i p_i,t) - z_t = 0 times scales[t - 1], i over the group.
     """
     d, n = len(coords), len(coords[0])
     rows = []
     for group in groups:
-        block = [[one - one] * (n + d + 1) for _ in range(d + 1)]
-        block[0][-1] = one
+        block = [[0] * (n + d + 1) for _ in range(d + 1)]
+        block[0][-1] = 1
         for i in group:
-            block[0][i - 1] = one
+            block[0][i - 1] = 1
             for t in range(d):
                 block[t + 1][i - 1] = coords[t][i - 1]
         for t in range(d):
@@ -218,9 +218,8 @@ def build_system(points: PointSequence, partition: Partition) -> TverbergSystem:
         raise DimensionError(
             f"square system needs n = (r-1)(d+1)+1; got n={n}, r={r}, d={d}"
         )
-    one = Fraction(1)
-    rows = _common_point_system(points.rows, [one] * d, one, partition.classes)
-    return TverbergSystem(Matrix(row[:-1] for row in rows), tuple(row[-1] for row in rows))
+    rows = _common_point_system(points.rows, [1] * d, partition.classes)
+    return TverbergSystem(Matrix(row[:-1] for row in rows), tuple(Fraction(row[-1]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -425,7 +424,7 @@ def _hull_equations(coords, scales, group: Sequence[int]) -> list:
     """
     k = len(group)
     own = [[row[i - 1] for i in group] for row in coords]  # the group's positions become 1..k
-    block = _common_point_system(own, scales, 1, [range(1, k + 1)])
+    block = _common_point_system(own, scales, [range(1, k + 1)])
     pivots, _ = _eliminate(block, k)
     return [row[k:] for row in block[len(pivots):]]
 

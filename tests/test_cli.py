@@ -1,4 +1,5 @@
 """Exit codes and output shapes of the command-line front end."""
+import dataclasses
 import json
 import re
 import shlex
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from tverberg import partitions, sequences
+from tverberg import cli, partitions, sequences
 from tverberg.cli import build_parser, main
 from tverberg.exact import det_sign
+from tverberg.fillings import enumerate_valid_fillings
 from tverberg.partitions import build_system, enumerate_proper_partitions, partition_to_json
 from tverberg.sequences import gen_super_dominant, sequence_from_json
 
@@ -329,6 +331,47 @@ def test_dominant_oracle_lifts_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def _planted_violation(report):
+    return dataclasses.replace(report, violations=("planted: the runner-up outweighs the dominant",))
+
+
+def _planted_argmax(report):
+    fillings = enumerate_valid_fillings(report.dominant.partition, report.ell)
+    other = next(f for f in fillings if f != report.dominant)
+    return dataclasses.replace(report, dominant=other)
+
+
+@pytest.mark.parametrize(
+    "plant, reason",
+    [
+        (_planted_violation, "planted: the runner-up outweighs the dominant"),
+        (_planted_argmax, "argmax-mismatch: the brute-force largest monomial has grid [["),
+    ],
+    ids=["violation", "argmax"],
+)
+def test_dominant_oracle_disagreement_says_why(capsys, monkeypatch, tmp_path, plant, reason):
+    part = write_json(tmp_path / "p.json", {"n": 5, "classes": [[3], [1, 2], [4, 5]]})
+    real = cli.dominance_report
+
+    def planted_on_ell_two(points, partition, ell, q, coords):
+        report = real(points, partition, ell, q, coords)
+        return plant(report) if ell == 2 else report
+
+    monkeypatch.setattr(cli, "dominance_report", planted_on_ell_two)
+    assert main(["dominant", "--partition", part, "--oracle"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("oracle: DISAGREE") == 1
+    assert f"oracle: DISAGREE\n  {reason}" in out
+    assert out.rstrip().endswith("ORACLE DISAGREE")
+    assert main(["dominant", "--partition", part, "--oracle", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_agree"] is False
+    verdicts = [(rec["oracle"], "oracle_reasons" in rec) for rec in payload["ells"]]
+    assert verdicts == [("agree", False), ("disagree", True)] + [("agree", False)] * 3
+    (reported,) = payload["ells"][1]["oracle_reasons"]
+    assert reported.startswith(reason)
+
+
 def test_dominant_grid_matches_rainbow_layout(capsys, tmp_path):
     part = write_json(tmp_path / "p.json", {"n": 5, "classes": [[1, 4], [2, 5], [3]]})
     assert main(["dominant", "--partition", part]) == 0
@@ -369,6 +412,34 @@ def test_witness_finds_pair_and_rejects_rainbow(capsys, tmp_path):
     rainbow = write_json(tmp_path / "rb.json", {"n": 5, "classes": [[1, 4], [2, 5], [3]]})
     assert main(["witness", "--partition", rainbow]) == 2
     assert "rainbow" in capsys.readouterr().err
+
+
+def test_witness_without_a_pair_fails(capsys, monkeypatch, tmp_path):
+    part = write_json(tmp_path / "nr.json", {"n": 5, "classes": [[3], [1, 2], [4, 5]]})
+    monkeypatch.setattr(cli, "sign_flip_witness", lambda partition, profile: None)
+    assert main(["witness", "--partition", part]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: no consecutive same-class pair shares its marker pattern" in out.splitlines()
+    assert main(["witness", "--partition", part, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert "witness" in payload and payload["witness"] is None
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-universality"])
+def test_degenerate_points_exit_two(capsys, tmp_path, command):
+    # {1,2}|{3} is singular on three equal points, and its hulls meet
+    seq = write_json(tmp_path / "same.json", {"d": 1, "n": 3, "points": [["1"], ["1"], ["1"]]})
+    assert main([command, "--seq", seq]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: singular system; the points are degenerate for this partition\n"
+
+
+def test_enumerate_skips_a_singular_partition_with_disjoint_hulls(capsys, tmp_path):
+    seq = write_json(tmp_path / "near.json", {"d": 1, "n": 3, "points": [["1"], ["1"], ["2"]]})
+    assert main(["enumerate", "--seq", seq]) == 0
+    assert "tverberg partitions: 0" in capsys.readouterr().out
+    assert main(["enumerate", "--seq", seq, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["partitions"] == []
 
 
 def test_sgp_verdicts(capsys, tmp_path, line_seq):

@@ -256,6 +256,19 @@ def test_enumerate_survives_parallel_secants():
     assert [p.classes for p in found] == [((1, 3), (2, 4))]
 
 
+def test_enumerate_reraises_a_singular_partition_whose_hulls_meet():
+    # three equal points: {1,2}|{3} is singular and its hulls share the point
+    with pytest.raises(DegeneratePointsError, match="singular system"):
+        enumerate_tverberg(PointSequence([[1, 1, 1]]))
+    # moving the third point off makes that partition's hulls disjoint, so it
+    # is skipped; the other two partitions each put a zero weight on a point
+    points = PointSequence([[1, 1, 2]])
+    with pytest.raises(DegeneratePointsError):
+        decide_tverberg(points, Partition(3, [[1, 2], [3]]))
+    assert affine_intersection_dim(points, [[1, 2], [3]]) == -1
+    assert enumerate_tverberg(points) == []
+
+
 def test_enumerate_rejects_incompatible_length():
     with pytest.raises(DimensionError):
         enumerate_tverberg(gen_moment_curve(2, [1, 2, 3]))

@@ -1,6 +1,7 @@
 """The names the package exports from its top level."""
 import ast
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -121,4 +122,23 @@ def test_no_floats_in_the_package():
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
                 if node.attr not in integer_math:
                     found.append(f"{path.name}:{node.lineno}: math.{node.attr}")
+    assert found == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # No runtime dependencies: every absolute import names a standard module.
+    found = []
+    for path in sorted(INIT.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found.extend(
+                f"{path.name}:{node.lineno}: {module}"
+                for module in modules
+                if module != "__future__" and module.partition(".")[0] not in sys.stdlib_module_names
+            )
     assert found == []
