@@ -439,17 +439,15 @@ def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Option
         raise ValueError("partition size does not match the profile dimension")
     if is_rainbow(partition, d):
         raise ValueError("rainbow partitions never produce a sign-flip witness")
-    cache: dict = {}
-
-    def markers(ell: int) -> tuple:
-        if ell not in cache:
-            cache[ell] = find_dominant_filling(partition, ell, profile).z_columns
-        return cache[ell]
-
     for cls in partition.classes:
+        if len(cls) < 2:
+            continue
+        previous = find_dominant_filling(partition, cls[0], profile).z_columns
         for ell1, ell2 in zip(cls, cls[1:]):
-            if markers(ell1) == markers(ell2):
+            markers = find_dominant_filling(partition, ell2, profile).z_columns
+            if markers == previous:
                 return (ell1, ell2)
+            previous = markers
     return None
 
 

@@ -103,10 +103,9 @@ def partition_to_json(partition: Partition) -> dict:
 
 
 def partition_from_json(payload: dict) -> Partition:
-    try:
-        return Partition(payload["n"], payload["classes"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError("partition payload needs keys 'n' and 'classes'") from exc
+    if not isinstance(payload, dict) or not {"n", "classes"} <= payload.keys():
+        raise ValueError("partition payload needs keys 'n' and 'classes'")
+    return Partition(payload["n"], payload["classes"])
 
 
 def is_rainbow(partition: Partition, d: int) -> bool:
@@ -121,32 +120,33 @@ def _meets_each_once(classes, windows) -> bool:
 
 
 def _restricted_growth(n: int, r: int, max_size: int):
-    """The walk of enumerate_proper_partitions, yielding tuples of sorted class tuples."""
+    """The walk of enumerate_proper_partitions, yielding tuples of sorted class tuples.
+
+    Element i joins each class with room, in order, while the n - i elements
+    after it can still open every missing class, then opens one if any is
+    missing.  Each step lowers the elements left and the free room (max_size
+    per missing class) by one each, so under the root guard
+    r <= n <= r * max_size every branch ends in a partition.
+    """
     classes: list = []
 
     def place(i: int):
-        remaining = n - i + 1
-        if remaining == 0:
-            if len(classes) == r:
-                yield tuple(map(tuple, classes))
+        if i > n:
+            yield tuple(map(tuple, classes))
             return
         missing = r - len(classes)
-        if remaining < missing:
-            return
-        capacity = sum(max_size - len(cls) for cls in classes) + missing * max_size
-        if remaining > capacity:
-            return
-        for cls in classes:
-            if len(cls) < max_size:
-                cls.append(i)
-                yield from place(i + 1)
-                cls.pop()
-        if len(classes) < r:
+        if n - i >= missing:
+            for cls in classes:
+                if len(cls) < max_size:
+                    cls.append(i)
+                    yield from place(i + 1)
+                    cls.pop()
+        if missing:
             classes.append([i])
             yield from place(i + 1)
             classes.pop()
 
-    return place(1)
+    return place(1) if r <= n <= r * max_size else iter(())
 
 
 def enumerate_proper_partitions(n: int, r: int, max_size: int) -> list:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tverberg import cli, partitions, sequences
+from tverberg import cli, fillings, partitions, sequences
 from tverberg.cli import build_parser, main
 from tverberg.exact import det_sign
 from tverberg.fillings import enumerate_valid_fillings
@@ -237,6 +237,29 @@ def test_malformed_compact_sequence_exits_two(capsys, tmp_path, change, message)
     assert "needs keys 'd', 'n', 'base', 'exponents'" in capsys.readouterr().err
 
 
+NEEDS_KEYS = "partition payload needs keys 'n' and 'classes'"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 3}, NEEDS_KEYS),
+    ([1, 2], NEEDS_KEYS),
+    ("text", NEEDS_KEYS),
+    (None, NEEDS_KEYS),
+    ({"n": 3, "classes": 5}, "'int' object is not iterable"),
+    ({"n": 3, "classes": [1, 2, 3]}, "'int' object is not iterable"),
+    ({"n": 3, "classes": [[1, 3], [2], []]}, "classes must be nonempty"),
+    ({"n": "3", "classes": [[1, 3], [2]]}, "positions must be plain integers, got '3'"),
+    ({"n": 3, "classes": [[1, "a"], [2]]}, "positions must be plain integers, got 'a'"),
+])
+def test_malformed_partition_file_exits_two(capsys, tmp_path, line_seq, payload, message):
+    part = write_json(tmp_path / "p.json", payload)
+    for argv in (["check", "--seq", line_seq], ["dominant"], ["witness"]):
+        assert main(argv + ["--partition", part]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: bad partition file {part}: {message}"
+
+
 def test_commands_that_need_entries_refuse_an_oversized_file(capsys, tmp_path):
     # The (5,2) file's largest entry, 2**1579486062, would take about 0.18 GiB;
     # the four commands that read entries exit 2 before building any.
@@ -370,6 +393,27 @@ def test_dominant_oracle_disagreement_says_why(capsys, monkeypatch, tmp_path, pl
     assert verdicts == [("agree", False), ("disagree", True)] + [("agree", False)] * 3
     (reported,) = payload["ells"][1]["oracle_reasons"]
     assert reported.startswith(reason)
+
+
+@pytest.mark.parametrize("factor, reasons", [(2, ["sum-mismatch"]), (-1, ["sign-mismatch", "sum-mismatch"])])
+def test_dominant_oracle_reports_a_planted_determinant(capsys, monkeypatch, tmp_path, factor, reasons):
+    # dominance_report's own checks, reached through the CLI: ell 2's
+    # determinant is planted, the other ells keep theirs
+    part = write_json(tmp_path / "p.json", {"n": 7, "classes": [[1, 4, 7], [2, 5], [3, 6]]})
+    real = fillings._cramer_det
+    monkeypatch.setattr(fillings, "_cramer_det", lambda k, dn, j: (factor if j == 1 else 1) * real(k, dn, j))
+    assert main(["dominant", "--oracle", "--d", "2", "--r", "3", "--partition", part]) == 1
+    out = capsys.readouterr().out
+    assert out.count("oracle: DISAGREE") == 1
+    shown = re.search(r"oracle: DISAGREE\n((?:  .*\n)+)", out).group(1).splitlines()
+    assert [line.strip().split(":")[0] for line in shown] == reasons
+    assert out.rstrip().endswith("ORACLE DISAGREE")
+    assert main(["dominant", "--oracle", "--d", "2", "--r", "3", "--partition", part, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_agree"] is False
+    verdicts = [rec["oracle"] for rec in payload["ells"]]
+    assert verdicts == ["agree", "disagree"] + ["agree"] * 5
+    assert [v.split(":")[0] for v in payload["ells"][1]["oracle_reasons"]] == reasons
 
 
 def test_dominant_grid_matches_rainbow_layout(capsys, tmp_path):
@@ -617,6 +661,16 @@ def test_readme_command_examples_parse():
         if line.startswith("tverberg ")
     }
     assert commands == set(READS)
+
+
+def test_readme_flag_table_matches_what_each_command_reads():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    table = re.search(r"\| command \| flags \|\n\|---\|---\|\n((?:\|.*\n)+)", section).group(1)
+    rows = {}
+    for line in table.splitlines():
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[command.strip("`")] = " ".join(flag.strip("`") for flag in flags.split())
+    assert rows == READS
 
 
 def test_readme_python_example_runs(capsys):

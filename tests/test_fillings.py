@@ -651,6 +651,40 @@ def test_sign_flip_witness_exists_for_all_non_rainbow(super_instance, d, r):
         assert cls.index(ell2) == cls.index(ell1) + 1
 
 
+def first_matching_pair(partition, profile):
+    """The reference scan: every consecutive same-class pair, nothing carried."""
+    for cls in partition.classes:
+        for ell1, ell2 in zip(cls, cls[1:]):
+            m1 = find_dominant_filling(partition, ell1, profile).z_columns
+            if m1 == find_dominant_filling(partition, ell2, profile).z_columns:
+                return (ell1, ell2)
+    return None
+
+
+@pytest.mark.parametrize("d, r, partitions, calls", [(2, 3, 171, 490), (1, 3, 13, 34)])
+def test_sign_flip_witness_builds_each_filling_once(monkeypatch, super_instance, d, r, partitions, calls):
+    # one filling per ell up to the pair found, none for a one-element class
+    _, profile = super_instance(d, r)
+    built = []
+
+    def counted(partition, ell, profile):
+        built.append(ell)
+        return find_dominant_filling(partition, ell, profile)
+
+    monkeypatch.setattr(fillings, "find_dominant_filling", counted)
+    non_rainbow = [
+        p for p in enumerate_proper_partitions(tverberg_number(r, d), r, d + 1) if not is_rainbow(p, d)
+    ]
+    total = 0
+    for partition in non_rainbow:
+        built.clear()
+        pair = sign_flip_witness(partition, profile)
+        assert len(set(built)) == len(built), (partition, built)
+        total += len(built)
+        assert pair == first_matching_pair(partition, profile), partition
+    assert (len(non_rainbow), total) == (partitions, calls)
+
+
 def test_sign_flip_witness_dimension_mismatch(super_instance):
     _, wide_profile = super_instance(2, 2)
     with pytest.raises(ValueError):
@@ -790,6 +824,21 @@ def test_dominance_report_keeps_its_input_errors(super_instance):
     crowded = Partition(5, [[1, 2, 3], [4], [5]])
     with pytest.raises(InvalidFillingError, match="a class has more elements than grid rows"):
         dominance_report(sup.points, crowded, 4, sup.q, (0, 1))
+
+
+@pytest.mark.parametrize("factor, reasons", [(2, ["sum-mismatch"]), (-1, ["sign-mismatch", "sum-mismatch"])])
+def test_dominance_report_flags_a_planted_determinant(monkeypatch, super_instance, factor, reasons):
+    sup, _ = super_instance(2, 3)
+    partition = Partition(7, [[1, 4, 7], [2, 5], [3, 6]])
+    _, coords = ordered_lift(sup.points, sup.q)
+    clean = dominance_report(sup.points, partition, 2, sup.q, coords)
+    assert clean.ok
+    real = fillings._cramer_det
+    monkeypatch.setattr(fillings, "_cramer_det", lambda k, dn, j: factor * real(k, dn, j))
+    report = dominance_report(sup.points, partition, 2, sup.q, coords)
+    assert not report.ok
+    assert report.determinant == factor * clean.determinant
+    assert [v.split(":")[0] for v in report.violations] == reasons
 
 
 def test_dominance_report_determinant_is_one_minor_of_k(super_instance):

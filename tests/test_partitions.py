@@ -139,16 +139,23 @@ def test_rainbow_classes_hit_every_window():
                     assert len(set(cls) & set(window)) == 1
 
 
-@given(st.integers(3, 7), st.integers(2, 3), st.integers(1, 4))
-@settings(max_examples=30, deadline=None)
-def test_enumeration_matches_labeled_oracle(n, r, max_size):
-    ours = enumerate_proper_partitions(n, r, max_size)
-    expected = {
-        frozenset(cls for cls in labeled)
-        for labeled in labeled_proper_partitions(n, r, max_size)
-    }
-    assert {frozenset(frozenset(c) for c in p.classes) for p in ours} == expected
-    assert len(ours) == len(expected)  # no duplicates in the listing
+def growth_string(classes, n):
+    """a_i is the index of i's class, the classes ordered by smallest element."""
+    index = {i: m for m, cls in enumerate(sorted(classes, key=min)) for i in cls}
+    return tuple(index[i] for i in range(1, n + 1))
+
+
+def test_enumeration_matches_labeled_oracle():
+    # every shape, n < r and n > r * max_size included; the CLI lists
+    # partitions in this order, so the test pins the order
+    for n in range(8):
+        for r in range(5):
+            for max_size in range(5):
+                unlabeled = {frozenset(labeled) for labeled in labeled_proper_partitions(n, r, max_size)}
+                expected = sorted(unlabeled, key=lambda classes: growth_string(classes, n))
+                ours = [frozenset(frozenset(c) for c in p.classes)
+                        for p in enumerate_proper_partitions(n, r, max_size)]
+                assert ours == expected, (n, r, max_size)
 
 
 def test_enumeration_is_deterministic():
