@@ -1,11 +1,12 @@
 """Command-line front end: generation, checking, enumeration, and reports.
 
 This is the only I/O boundary of the package.  Every command reads JSON files
-in the formats of sequence_from_json / partition_from_json, prints either an
-aligned-text report or (with --json) a machine-readable document, and exits
-with 0 on success or PASS, 1 on a FAIL verdict, 2 on any input problem, and
-3 when an internal cross-check fails (the two exact routes disagree: a bug,
-not bad input).
+in the formats of sequence_from_json / partition_from_json and returns its
+report as (exit code, text lines, payload); main writes either the aligned
+text or (with --json) the payload as a machine-readable document, once.  The
+exit code is 0 on success or PASS, 1 on a FAIL verdict, 2 on any input
+problem, and 3 when an internal cross-check fails (the two exact routes
+disagree: a bug, not bad input).
 """
 from __future__ import annotations
 
@@ -106,18 +107,21 @@ def _format_partition(partition: Partition) -> str:
     return " | ".join("{" + ",".join(str(e) for e in cls) + "}" for cls in partition.classes)
 
 
-def _grid_lines(filling) -> list:
-    cells = [
-        [f"z{k}" if cell is None else str(cell) for cell in row]
-        for k, row in enumerate(filling.grid)
+def _listing(found: list, lines: list, payload: dict) -> tuple:
+    """A report of the partitions found: one line each, then count and partitions in the payload."""
+    lines.extend("  " + _format_partition(p) for p in found)
+    payload.update(count=len(found), partitions=[partition_to_json(p) for p in found])
+    return PASS, lines, payload
+
+
+def _grid_lines(grid: list) -> list:
+    """Aligned text of a filling_to_json grid, one column per class."""
+    cells = [[str(cell) for cell in row] for row in grid]
+    heads = [f"A{m}" for m in range(1, len(cells[0]) + 1)]
+    width = max(len(c) for row in [heads, *cells] for c in row)
+    return ["        " + "  ".join(c.rjust(width) for c in heads)] + [
+        f"row {k}".ljust(8) + "  ".join(c.rjust(width) for c in row) for k, row in enumerate(cells)
     ]
-    width = max(len(c) for row in cells for c in row)
-    width = max(width, len(f"A{filling.r}"))
-    header = "        " + "  ".join(f"A{m}".rjust(width) for m in range(1, filling.r + 1))
-    lines = [header]
-    for k, row in enumerate(cells):
-        lines.append(f"row {k}".ljust(8) + "  ".join(c.rjust(width) for c in row))
-    return lines
 
 
 def _check_fit(points: PointSequence, partition: Partition) -> None:
@@ -184,7 +188,7 @@ def _profile_for(points: PointSequence, q: Fraction):
 # commands
 
 
-def cmd_gen(config: argparse.Namespace) -> int:
+def cmd_gen(config: argparse.Namespace) -> tuple:
     n = tverberg_number(config.r, config.d)
     base = config.base if config.base is not None else DEFAULT_BASE
     if config.schedule == "chain":
@@ -194,27 +198,14 @@ def cmd_gen(config: argparse.Namespace) -> int:
     else:
         points = gen_power_sequence(base, uniform_exponents(config.d, n))
     payload = sequence_to_json(points)
-    _emit(config, [json.dumps(payload, indent=2)], payload)
-    return PASS
+    return PASS, [json.dumps(payload, indent=2)], payload
 
 
-def cmd_check(config: argparse.Namespace) -> int:
+def cmd_check(config: argparse.Namespace) -> tuple:
     points = _load_sequence(config.seq_path)
     partition = _load_partition(config.partition_path)
     _check_fit(points, partition)
     verdict = decide_tverberg(points, partition)
-    lines = []
-    if verdict.is_tverberg:
-        lines.append("verdict: TVERBERG")
-        lines.append("z = (" + ", ".join(str(x) for x in verdict.z) + ")")
-        lines.append("alphas: " + ", ".join(str(a) for a in verdict.alphas))
-    else:
-        lines.append(f"verdict: NOT TVERBERG ({verdict.reason})")
-    if verdict.base_sign is not None:
-        lines.append(f"base determinant sign: {verdict.base_sign:+d}")
-        lines.append(
-            "Cramer signs: " + ", ".join(f"{s:+d}" for s in verdict.det_signs)
-        )
     payload = {
         "is_tverberg": verdict.is_tverberg,
         "reason": verdict.reason,
@@ -223,43 +214,35 @@ def cmd_check(config: argparse.Namespace) -> int:
         "base_sign": verdict.base_sign,
         "det_signs": list(verdict.det_signs) if verdict.det_signs is not None else None,
     }
-    _emit(config, lines, payload)
-    return PASS if verdict.is_tverberg else FAIL
+    if verdict.is_tverberg:
+        lines = [
+            "verdict: TVERBERG",
+            "z = (" + ", ".join(payload["z"]) + ")",
+            "alphas: " + ", ".join(payload["alphas"]),
+        ]
+    else:
+        lines = [f"verdict: NOT TVERBERG ({verdict.reason})"]
+    if verdict.base_sign is not None:
+        lines.append(f"base determinant sign: {verdict.base_sign:+d}")
+        lines.append("Cramer signs: " + ", ".join(f"{s:+d}" for s in verdict.det_signs))
+    return (PASS if verdict.is_tverberg else FAIL), lines, payload
 
 
-def cmd_enumerate(config: argparse.Namespace) -> int:
+def cmd_enumerate(config: argparse.Namespace) -> tuple:
     points = _load_sequence(config.seq_path)
     r = _derive_r(points, config.r)
     found = enumerate_tverberg(points)
-    lines = [f"n = {points.length}, d = {points.dim}, r = {r}"]
-    lines.append(f"tverberg partitions: {len(found)}")
-    lines.extend("  " + _format_partition(p) for p in found)
-    payload = {
-        "n": points.length,
-        "d": points.dim,
-        "r": r,
-        "count": len(found),
-        "partitions": [partition_to_json(p) for p in found],
-    }
-    _emit(config, lines, payload)
-    return PASS
+    lines = [f"n = {points.length}, d = {points.dim}, r = {r}", f"tverberg partitions: {len(found)}"]
+    return _listing(found, lines, {"n": points.length, "d": points.dim, "r": r})
 
 
-def cmd_rainbow(config: argparse.Namespace) -> int:
+def cmd_rainbow(config: argparse.Namespace) -> tuple:
     found = enumerate_rainbow(config.d, config.r)
     lines = [f"rainbow partitions for d = {config.d}, r = {config.r}: {len(found)}"]
-    lines.extend("  " + _format_partition(p) for p in found)
-    payload = {
-        "d": config.d,
-        "r": config.r,
-        "count": len(found),
-        "partitions": [partition_to_json(p) for p in found],
-    }
-    _emit(config, lines, payload)
-    return PASS
+    return _listing(found, lines, {"d": config.d, "r": config.r})
 
 
-def cmd_verify_universality(config: argparse.Namespace) -> int:
+def cmd_verify_universality(config: argparse.Namespace) -> tuple:
     if config.seq_path and config.q is not None:
         raise InputError("--q applies to constructed instances only, not beside --seq")
     points, d, r, _, source = _resolve_instance(config)
@@ -290,11 +273,10 @@ def cmd_verify_universality(config: argparse.Namespace) -> int:
         "tverberg_only": [partition_to_json(p) for p in only_tverberg],
         "rainbow_only": [partition_to_json(p) for p in only_rainbow],
     }
-    _emit(config, lines, payload)
-    return PASS if equal else FAIL
+    return (PASS if equal else FAIL), lines, payload
 
 
-def cmd_dominant(config: argparse.Namespace) -> int:
+def cmd_dominant(config: argparse.Namespace) -> tuple:
     partition = _load_partition(config.partition_path)
     points, d, r, q, source = _resolve_instance(config, partition)
     profile, coords = _profile_for(points, q)
@@ -305,14 +287,8 @@ def cmd_dominant(config: argparse.Namespace) -> int:
         filling = find_dominant_filling(partition, ell, profile)
         # the sign of the dominant term, which is sign det(M_ell)
         sign = _dominant_sign(filling.grid, ell, partition.n, coords)
-        lines.append("")
-        lines.append(f"ell = {ell}  dominant monomial sign {sign:+d}")
-        lines.extend(_grid_lines(filling))
-        record = {
-            "ell": ell,
-            "filling": filling_to_json(filling),
-            "sign": sign,
-        }
+        record = {"ell": ell, "filling": filling_to_json(filling), "sign": sign}
+        lines += ["", f"ell = {ell}  dominant monomial sign {sign:+d}", *_grid_lines(record["filling"]["grid"])]
         if config.oracle:
             report = dominance_report(points, partition, ell, q, coords)
             reasons = list(report.violations)
@@ -326,23 +302,14 @@ def cmd_dominant(config: argparse.Namespace) -> int:
                 record["oracle_reasons"] = reasons
                 lines.extend("  " + v for v in reasons)
         records.append(record)
+    payload = {"d": d, "r": r, "q": str(q), "source": source, "ells": records}
     if config.oracle:
-        lines.append("")
-        lines.append("ORACLE AGREE" if agree else "ORACLE DISAGREE")
-    payload = {
-        "d": d,
-        "r": r,
-        "q": str(q),
-        "source": source,
-        "ells": records,
-    }
-    if config.oracle:
+        lines += ["", "ORACLE AGREE" if agree else "ORACLE DISAGREE"]
         payload["oracle_agree"] = agree
-    _emit(config, lines, payload)
-    return PASS if agree else FAIL
+    return (PASS if agree else FAIL), lines, payload
 
 
-def cmd_witness(config: argparse.Namespace) -> int:
+def cmd_witness(config: argparse.Namespace) -> tuple:
     partition = _load_partition(config.partition_path)
     points, d, r, q, source = _resolve_instance(config, partition)
     if is_rainbow(partition, d):
@@ -350,12 +317,10 @@ def cmd_witness(config: argparse.Namespace) -> int:
     profile, _ = _profile_for(points, q)
     pair = sign_flip_witness(partition, profile)
     lines = [f"instance: d = {d}, r = {r}, q = {q} ({source})"]
-    payload = {"d": d, "r": r, "q": str(q), "source": source}
+    payload = {"d": d, "r": r, "q": str(q), "source": source, "witness": pair and list(pair)}
     if pair is None:
         lines.append("FAIL: no consecutive same-class pair shares its marker pattern")
-        payload["witness"] = None
-        _emit(config, lines, payload)
-        return FAIL
+        return FAIL, lines, payload
     ell1, ell2 = pair
     verdict = decide_tverberg(points, partition)
     lines.append(
@@ -366,20 +331,16 @@ def cmd_witness(config: argparse.Namespace) -> int:
         "decide_tverberg: "
         + ("TVERBERG (unexpected)" if verdict.is_tverberg else f"NOT TVERBERG ({verdict.reason})")
     )
-    payload["witness"] = [ell1, ell2]
     payload["is_tverberg"] = verdict.is_tverberg
-    _emit(config, lines, payload)
-    return FAIL if verdict.is_tverberg else PASS
+    return (FAIL if verdict.is_tverberg else PASS), lines, payload
 
 
-def cmd_sgp(config: argparse.Namespace) -> int:
+def cmd_sgp(config: argparse.Namespace) -> tuple:
     points = _load_sequence(config.seq_path)
     r = config.r if config.r is not None else _derive_r(points, None)
     ok = is_strong_general_position(points, r)
     lines = [f"strong general position (r = {r}): {'yes' if ok else 'no'}"]
-    payload = {"r": r, "strong_general_position": ok}
-    _emit(config, lines, payload)
-    return PASS if ok else FAIL
+    return (PASS if ok else FAIL), lines, {"r": r, "strong_general_position": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +350,7 @@ def cmd_sgp(config: argparse.Namespace) -> int:
 def _checked(kind, holds, requirement: str):
     """An argparse type: parse with kind, then reject values failing holds.
 
-    A value past the entry-bit budget is refused with the budget's own
+    A decimal exponent past scalar's budget is refused with the budget's own
     message; argparse words every other ValueError as "invalid <kind> value".
     """
 
@@ -471,7 +432,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         ns = build_parser().parse_args(argv)
-        return ns.handler(ns)
+        code, lines, payload = ns.handler(ns)
+        _emit(ns, lines, payload)
+        return code
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else PASS
     except CertificateMismatchError as exc:

@@ -537,6 +537,8 @@ def dominance_report(
     height = _grid_height(partition)
     if not 1 <= _position(ell) <= n:
         raise InvalidFillingError(f"ell={ell} is not a position in 1..{n}")
+    if points is None:  # _row_order lets it through for monomial_value's one-row grids
+        raise ValueError(f"points must be a {height - 1}-dimensional sequence of length {n}")
     coords = _row_order(height, n, points, row_coords)
     ints, scales = _scaled_int_rows(points.rows)
     minor = _cramer_det(_cramer_matrix(ints, partition), (height - 1) * n, ell - 1)

@@ -116,9 +116,12 @@ def test_bad_threshold_exits_two(capsys):
 def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path):
     # Fraction would build 10**999999999999 before any later check could run
     huge = write_json(tmp_path / "s.json", {"d": 1, "n": 3, "points": [["1"], ["1e999999999999"], ["5"]]})
+    slow = write_json(tmp_path / "t.json", {"d": 1, "n": 3, "points": [["1"], ["1e16000000"], ["5"]]})
     part = write_json(tmp_path / "p.json", {"n": 3, "classes": [[1, 3], [2]]})
-    budget = "the exponent of '1e999999999999' passes the 67108864-bit budget for building entries"
+    budget = "the exponent of '1e999999999999' passes the budget of 1000000 for decimal exponents"
     for argv, message in ((["check", "--seq", huge, "--partition", part], budget),
+                          (["check", "--seq", slow, "--partition", part],
+                           "the exponent of '1e16000000' passes the budget of 1000000 for decimal exponents"),
                           (["gen", "--d", "1", "--r", "2", "--q", "1e999999999999"], "argument --q: " + budget),
                           (["gen", "--d", "1", "--r", "2", "--base", "1e999999999999"], "argument --base: " + budget)):
         start = time.perf_counter()

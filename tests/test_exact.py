@@ -54,14 +54,15 @@ def test_scalar_accepts_int_str_fraction():
 
 
 def test_scalar_refuses_exponents_past_the_entry_budget():
-    # Fraction builds 10**|e| for a decimal exponent e; "1e10000000" alone took 6.8 s
+    # Fraction builds 10**|e| for a decimal exponent e; "1e16000000" alone took 20 s
     assert scalar("1.5e-3") == Fraction(3, 2000)
     assert scalar(" -2E+3 ") == -2000
     assert scalar("1e1_000") == 10**1000
+    assert scalar("1e1000000") == 10**1_000_000
     too_big = exact._ENTRY_BIT_BUDGET // 4 + 1
     start = time.perf_counter()
     for text in (f"1e{too_big}", f"1e-{too_big}", "0e999999999999", "3.25E+999999999999",
-                 "1e" + "9" * 100_000, "1e0_" + "9" * 20):
+                 "1e" + "9" * 100_000, "1e0_" + "9" * 20, "1e1000001", "1e-1000001", "1e16000000"):
         with pytest.raises(ValueError, match="budget"):
             scalar(text)
     assert time.perf_counter() - start < 1
@@ -81,6 +82,9 @@ def test_matrix_is_immutable():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(DimensionError):
         Matrix([[1, 2], [3]])
+    for cells in ([], [[]]):
+        with pytest.raises(DimensionError, match="at least one row and one column"):
+            Matrix(cells)
 
 
 def test_matrix_with_column():
@@ -89,6 +93,8 @@ def test_matrix_with_column():
     assert replaced == Matrix([[1, 9], [3, 9]])
     assert m == Matrix([[1, 2], [3, 4]])
     assert tuple(row[0] for row in m) == (Fraction(1), Fraction(3))
+    with pytest.raises(DimensionError, match="replacement column has the wrong length"):
+        m.with_column(0, [9])
 
 
 def test_det_frozen_values():
@@ -146,6 +152,8 @@ def test_solve_agrees_with_gauss_oracle(rows, rhs_pool):
 def test_solve_rejects_singular():
     with pytest.raises(SingularMatrixError):
         solve_linear(Matrix([[1, 2], [2, 4]]), [1, 1])
+    with pytest.raises(DimensionError, match="needs a square matrix"):
+        solve_linear(Matrix([[1, 2, 3], [4, 5, 6]]), [1, 1])
 
 
 def test_rank_frozen_values():

@@ -264,6 +264,10 @@ def test_crossing_pairs_rejects_same_column_and_disordered_grids():
     assert not disordered.is_column_increasing
     with pytest.raises(InvalidFillingError):
         crossing_pairs(disordered, 0, 1)
+    # markers in two columns, so only the order of column 1 (3 above 2) is wrong
+    disordered = Filling(Partition(5, [[2, 3], [1, 4], [5]]), 1, [[3, None, 5], [2, 4, None]])
+    with pytest.raises(InvalidFillingError, match="crossing pairs assume column-increasing order"):
+        crossing_pairs(disordered, 0, 1)
 
 
 @pytest.mark.parametrize("d, r", [(1, 3), (2, 2)])
@@ -816,6 +820,9 @@ def test_dominance_report_keeps_its_input_errors(super_instance):
             dominance_report(points, partition, 1, sup.q, coords)
     with pytest.raises(ValueError, match="points must be a 0-dimensional sequence of length 2"):
         dominance_report(sup.points, Partition(2, [[1], [2]]), 1, sup.q, (0,))
+    # monomial_value reads a one-row grid without points; the report needs them
+    with pytest.raises(ValueError, match="points must be a 0-dimensional sequence of length 2"):
+        dominance_report(None, Partition(2, [[1], [2]]), 1, 3, None)
     for ell in (0, 5):
         with pytest.raises(InvalidFillingError, match=f"ell={ell} is not a position in 1..4"):
             dominance_report(sup.points, partition, ell, sup.q, coords)
@@ -949,6 +956,8 @@ def test_filling_validation_errors():
         Filling(p, 0, [[None, 2], [3, None]])
     with pytest.raises(InvalidFillingError):
         Filling(p, 1, [[None, 2]])
+    with pytest.raises(InvalidFillingError, match="every grid row needs exactly 2 cells"):
+        Filling(p, 1, [[None, 2, 3], [3, None]])
     with pytest.raises(InvalidFillingError):
         Filling(Partition(1, [[1]]), 1, [[None]])
     with pytest.raises(InvalidFillingError):

@@ -80,6 +80,8 @@ def test_partition_validation_and_accessors():
     assert p.classes == ((2,), (1, 3))
     assert p.r == 2
     assert p.class_of(3) == 2
+    with pytest.raises(KeyError, match="position 4 is not covered"):
+        p.class_of(4)
     assert sorted(p.classes, key=min) == [(1, 3), (2,)]
     assert p.is_proper(1)
     assert not Partition(3, [[1, 2, 3]]).is_proper(1)
@@ -199,6 +201,8 @@ def test_build_system_rejects_wrong_count():
     points = gen_moment_curve(1, [1, 2, 3, 4])
     with pytest.raises(DimensionError):
         build_system(points, Partition(4, [[1, 3], [2, 4]]))
+    with pytest.raises(DimensionError, match="partition covers 1..3, points have n=4"):
+        build_system(points, Partition(3, [[1, 3], [2]]))
 
 
 def test_decide_radon_middle_point():

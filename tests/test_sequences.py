@@ -32,6 +32,7 @@ from tverberg.sequences import (
     is_ordered,
     lift,
     ordered_lift,
+    product_config_admissible,
     sequence_from_json,
     sequence_to_json,
     solve_prescribed_zeros,
@@ -114,6 +115,10 @@ def test_sequence_json_round_trip():
 def test_moment_curve_frozen():
     a = gen_moment_curve(3, [1, 2, 3])
     assert a.rows == ((1, 2, 3), (1, 4, 9), (1, 8, 27))
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        gen_moment_curve(0, [1, 2])
+    with pytest.raises(ValueError, match="at least one parameter is required"):
+        gen_moment_curve(2, [])
 
 
 def test_power_sequence_requires_growing_gaps():
@@ -122,6 +127,12 @@ def test_power_sequence_requires_growing_gaps():
         gen_power_sequence(2, [[1, 2, 3], [3, 4, 5]])  # gaps constant
     with pytest.raises(ValueError):
         gen_power_sequence(1, [[1, 2, 3]])
+    for table in ([[1, 2, 3], [2, 4]], []):
+        with pytest.raises(ValueError, match="exponent table must be rectangular and nonempty"):
+            gen_power_sequence(2, table)
+    for rows, length in ((0, 5), (3, 0)):
+        with pytest.raises(ValueError, match="rows and length must be positive"):
+            chain_exponents(rows, length, 2, 3)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2"])
@@ -344,6 +355,8 @@ def test_chain_profile_orders_gaps_ascending():
     assert profile.order == (1, 2, 3)
     assert profile.classes == ((1,), (2,), (3,))
     assert profile.max_of([1, 3]) == 3
+    with pytest.raises(ValueError, match="max_of needs at least one coordinate"):
+        profile.max_of([])
     assert profile.relations[(1, 2)] is Relation.PRECEDES
     assert profile.relations[(2, 1)] is Relation.SUCCEEDED_BY
 
@@ -541,6 +554,12 @@ def test_solve_prescribed_zeros_hits_targets():
         solve_prescribed_zeros(a, [3], (1, 1))
     with pytest.raises(ValueError):
         solve_prescribed_zeros(a, zeros, (3, 1))
+    with pytest.raises(ValueError, match="zero positions must be distinct"):
+        solve_prescribed_zeros(a, [3, 3], (1, 1))
+    with pytest.raises(IndexError, match="position 13 out of range 1..12"):
+        solve_prescribed_zeros(a, [3, 13], (1, 1))
+    with pytest.raises(ValueError, match="one coefficient per coordinate row is required"):
+        combination_row(a, alphas[:2])
 
 
 def test_pinned_combination_passes_checks():
@@ -558,6 +577,18 @@ def test_pinned_combination_flags_corruption():
     assert not report.ok
     joined = " ".join(report.violations)
     assert "missing-zero" in joined
+    corrupt[1] = 0
+    assert "coefficient-zero: some alpha vanishes" in verify_pinned_combination(a, q, corrupt, zeros).violations
+    # a combination vanishing at 3 and 9, checked against zeros 3 and 11
+    off = verify_pinned_combination(a, q, solve_prescribed_zeros(a, [3, 9], (1, 1)), [3, 11]).violations
+    assert "unexpected-zero: position 9" in off
+    assert "sign-change: inside positions 4..10" in off
+
+
+def test_product_config_needs_an_assigned_tau():
+    assert product_config_admissible({1: (1, 3), 2: (2, 5)}, 2)
+    with pytest.raises(ValueError, match="tau must be one of the assigned coordinates"):
+        product_config_admissible({1: (1, 5)}, 2)
 
 
 def test_pinned_combination_input_validation():
@@ -566,6 +597,13 @@ def test_pinned_combination_input_validation():
         verify_pinned_combination(a, 3, alphas, zeros)  # needs q > 3
     with pytest.raises(ValueError):
         verify_pinned_combination(a, 4, alphas, [3, 5])  # zeros too close
+    for bad in ([3], [3, 8, 12], [8, 8]):
+        with pytest.raises(ValueError, match="zero positions must be distinct and one fewer than dim"):
+            verify_pinned_combination(a, 4, alphas, bad)
+    with pytest.raises(ValueError, match="sequence entries must be positive"):
+        verify_pinned_combination(gen_moment_curve(3, range(-5, 7)), 4, alphas, zeros)
+    with pytest.raises(ValueError, match="one coefficient per coordinate row is required"):
+        verify_pinned_combination(a, 4, alphas[:2], zeros)
 
 
 def test_pinned_combination_alternating_signs():
