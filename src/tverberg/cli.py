@@ -288,7 +288,8 @@ def cmd_dominant(config: argparse.Namespace) -> tuple:
         # the sign of the dominant term, which is sign det(M_ell)
         sign = _dominant_sign(filling.grid, ell, partition.n, coords)
         record = {"ell": ell, "filling": filling_to_json(filling), "sign": sign}
-        lines += ["", f"ell = {ell}  dominant monomial sign {sign:+d}", *_grid_lines(record["filling"]["grid"])]
+        lines += ["", f"ell = {ell}  dominant monomial sign {sign:+d}"]
+        lines += _grid_lines(record["filling"]["grid"])
         if config.oracle:
             report = dominance_report(points, partition, ell, q, coords)
             reasons = list(report.violations)

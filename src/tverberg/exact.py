@@ -52,9 +52,10 @@ def scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, str):
         found = _DECIMAL_EXPONENT.search(value)
         digits = found[1].replace("_", "").lstrip("0") if found else ""
-        if len(digits) > len(str(_DECIMAL_EXPONENT_BUDGET)) or int(digits or 0) > _DECIMAL_EXPONENT_BUDGET:
+        budget = _DECIMAL_EXPONENT_BUDGET
+        if len(digits) > len(str(budget)) or int(digits or 0) > budget:
             raise _BudgetError(
-                f"the exponent of {value!r} passes the budget of {_DECIMAL_EXPONENT_BUDGET} for decimal exponents"
+                f"the exponent of {value!r} passes the budget of {budget} for decimal exponents"
             )
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)

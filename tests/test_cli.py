@@ -536,7 +536,9 @@ def test_seed_flag_is_gone(capsys):
 def test_unwritable_out_exits_two(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     assert main(["rainbow", "--d", "1", "--r", "2", "--out", str(target)]) == 2
-    assert "cannot write" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err
+    assert captured.out == ""
 
 
 def test_cross_check_failure_exits_three(capsys, monkeypatch, line_seq, good_partition):
@@ -548,7 +550,9 @@ def test_cross_check_failure_exits_three(capsys, monkeypatch, line_seq, good_par
 
     monkeypatch.setattr(partitions, "_cramer_signs", flip_first)
     assert main(["check", "--seq", line_seq, "--partition", good_partition]) == 3
-    assert "internal cross-check failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "internal cross-check failed" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
