@@ -69,7 +69,7 @@ def _load_payload(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"malformed JSON in {path}: nested too deeply") from exc

@@ -28,7 +28,7 @@ _DECIMAL_EXPONENT_BUDGET = 10**6
 
 
 class _BudgetError(ValueError):
-    """An input passes _ENTRY_BIT_BUDGET or _DECIMAL_EXPONENT_BUDGET; it is refused unbuilt."""
+    """An input passes a size budget, such as _ENTRY_BIT_BUDGET; it is refused unbuilt."""
 
 
 class DimensionError(ValueError):
@@ -66,44 +66,31 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-class Matrix:
-    """Immutable dense matrix of exact rationals, row-major."""
+class Matrix(tuple):
+    """Immutable dense matrix of exact rationals: a tuple of equal-length row tuples.
 
-    __slots__ = ("rows", "cols", "_cells")
+    Being a tuple, a Matrix hashes like its tuple of rows and compares equal
+    to a plain tuple of the same row tuples.
+    """
 
-    def __init__(self, cells: Iterable[Iterable[ScalarLike]]):
+    __slots__ = ()
+
+    def __new__(cls, cells: Iterable[Iterable[ScalarLike]]):
         data = tuple(tuple(scalar(x) for x in row) for row in cells)
         if not data or not data[0]:
             raise DimensionError("matrix needs at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DimensionError("rows have unequal lengths")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_cells", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __getitem__(self, i: int) -> tuple:
-        return self._cells[i]
-
-    def __iter__(self):
-        return iter(self._cells)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._cells == other._cells
-
-    def __hash__(self) -> int:
-        return hash(self._cells)
+        return super().__new__(cls, data)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._cells)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    rows = property(len)
+    cols = property(lambda self: len(self[0]))
+    is_square = property(lambda self: self.rows == self.cols)
 
     def with_column(self, j: int, column: Sequence[ScalarLike]) -> "Matrix":
         """A copy with column j replaced."""
@@ -113,7 +100,7 @@ class Matrix:
         return Matrix(
             [
                 tuple(new(column[i]) if k == j else row[k] for k in range(self.cols))
-                for i, row in enumerate(self._cells)
+                for i, row in enumerate(self)
             ]
         )
 

@@ -175,6 +175,13 @@ def enumerate_valid_fillings(partition: Partition, ell: int, increasing_only: bo
 
 
 class Monomial(NamedTuple):
+    """One term of det(M_ell), equal to sign * value.
+
+    sign is the parity of the filling's transversal, not the sign of the
+    term; value carries the (-1)**d of the markers and the entries, so the
+    term's sign is sign times the sign of value.
+    """
+
     filling: Filling
     value: Fraction
     sign: int
@@ -452,10 +459,11 @@ def sign_flip_witness(partition: Partition, profile: DominanceProfile) -> Option
 
 
 def _dominant_sign(grid: Sequence[Sequence], ell: int, n: int, row_coords: tuple) -> int:
-    """The sign of a filling grid's monomial when every lifted entry is positive.
+    """The sign of a filling grid's term when every lifted entry is positive.
 
-    That is the transversal parity times (-1)**d for the d markers on
-    non-ones rows (see monomial_value); no entry is multiplied.
+    That is the transversal parity (Monomial.sign) times (-1)**d for the d
+    markers on non-ones rows (see monomial_value); no entry is multiplied.
+    The CLI's "dominant monomial sign" is this value.
     """
     parity = _transversal(grid, ell, n, row_coords)
     return -parity if (len(grid) - 1) % 2 else parity
@@ -494,7 +502,12 @@ def _dominant_signs(classes: tuple, profile: DominanceProfile, row_coords: tuple
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Outcome of enumerating every monomial of one det(M_ell) expansion."""
+    """Outcome of enumerating every monomial of one det(M_ell) expansion.
+
+    dominant_sign is the parity of the dominant filling's transversal, as in
+    Monomial.sign, not the sign of the term: that is dominant_sign times the
+    sign of dominant_value.
+    """
 
     ell: int
     q: Fraction

@@ -356,18 +356,31 @@ class SuperDominantSequence(NamedTuple):
     q: Fraction
 
 
+# The most exponents a constructed witness table may hold, (d+1)**2 * n of
+# them: the (6,2) rung's holds 392, the (24,2) rung's 16,250 (built in about
+# 10 s), and the (25,2) rung's 18,252 is refused, as is (999,2)'s 10**9.
+_WITNESS_CELL_BUDGET = 1 << 14
+
+
 def gen_super_dominant(d: int, r: int, q: Optional[ScalarLike] = None, base: ScalarLike = 2) -> SuperDominantSequence:
     """Construct a verified super-dominant lifted sequence for (d, r).
 
     Builds a dominant witness of length (d+1) * n on a chain schedule, then
     takes every (d+1)-th column.  The witness is checked with is_dominant; a
-    failure would be a construction bug and raises.
+    failure would be a construction bug and raises.  A witness table past
+    _WITNESS_CELL_BUDGET is refused before the threshold or any table is
+    built, as its count of exponents depends on (d, r) alone.
     """
     from .partitions import tverberg_number
 
-    threshold = scalar(q) if q is not None else default_threshold(d, r)
     n = tverberg_number(r, d)
     span = (d + 1) * n
+    if (d + 1) * span > _WITNESS_CELL_BUDGET:
+        raise _BudgetError(
+            f"a ({d},{r}) instance needs a witness table of {(d + 1) * span} exponents,"
+            f" over the budget of {_WITNESS_CELL_BUDGET} for constructed instances"
+        )
+    threshold = scalar(q) if q is not None else default_threshold(d, r)
     witness = gen_power_sequence(base, chain_exponents(d + 1, span, base, threshold))
     if not is_dominant(witness, threshold):
         raise AssertionError("chain witness failed its dominance check")
@@ -672,8 +685,7 @@ def solve_prescribed_zeros(
         raise ValueError("zero positions must be distinct")
     pin_pos, pin_value = int(normalization[0]), scalar(normalization[1])
     for j in zeros + [pin_pos]:
-        if not 1 <= j <= a.length:
-            raise IndexError(f"position {j} out of range 1..{a.length}")
+        a._column(j)  # raises IndexError for a position outside 1..n
     if pin_pos in zeros:
         raise ValueError("normalization position collides with a zero position")
     rows = [[a.entry(t, j) for t in range(1, a.dim + 1)] for j in zeros]
@@ -723,13 +735,13 @@ def verify_pinned_combination(
     zeros = sorted(int(j) for j in zero_positions)
     if len(zeros) != a.dim - 1 or len(set(zeros)) != len(zeros):
         raise ValueError("zero positions must be distinct and one fewer than dim")
+    for j in zeros:
+        a._column(j)  # raises IndexError for a position outside 1..n
     if any(b - x < 3 for x, b in zip(zeros, zeros[1:])):
         raise ValueError("zero positions must be more than 2 apart")
     if not a.is_positive:
         raise ValueError("sequence entries must be positive")
     coeffs = [scalar(x) for x in alphas]
-    if len(coeffs) != a.dim:
-        raise ValueError("one coefficient per coordinate row is required")
     b = combination_row(a, coeffs)
     violations = []
 

@@ -88,6 +88,20 @@ def test_malformed_json_exits_two(capsys, tmp_path, good_partition):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_two_and_names_it(capsys, tmp_path, line_seq, good_partition):
+    png = tmp_path / "image.png"
+    png.write_bytes(b"\x89PNG\r\n\x1a\n")
+    for argv in (["check", "--seq", str(png), "--partition", good_partition],
+                 ["check", "--seq", line_seq, "--partition", str(png)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: malformed JSON in {png}: 'utf-8' codec can't decode byte 0x89"
+            " in position 0: invalid start byte"
+        ]
+
+
 def test_missing_file_exits_two(capsys, good_partition):
     assert main(["check", "--seq", "/nonexistent.json", "--partition", good_partition]) == 2
     assert "error:" in capsys.readouterr().err
@@ -706,6 +720,24 @@ def test_construction_flag_beside_seq_exits_two(capsys, tmp_path, line_seq, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err.strip().splitlines()[-1]
+
+
+def test_oversized_constructed_instance_exits_two_at_once(capsys, tmp_path):
+    # Each asks for a witness table of about 10**9 exponents; the partition alone sets d = 999.
+    part = write_json(tmp_path / "p.json", {"n": 1001, "classes": [list(range(1, 501)), list(range(501, 1002))]})
+    for argv, d in ((["gen", "--d", "1000", "--r", "2"], 1000),
+                    (["verify-universality", "--d", "1000", "--r", "2"], 1000),
+                    (["dominant", "--partition", part], 999)):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            rf"error: a \({d},2\) instance needs a witness table of \d+ exponents,"
+            r" over the budget of 16384 for constructed instances",
+            captured.err.strip(),
+        )
 
 
 def test_input_past_the_recursion_limit_exits_two(capsys, tmp_path):

@@ -77,6 +77,18 @@ def test_matrix_is_immutable():
     m = Matrix([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
         m.rows = 3
+    with pytest.raises(AttributeError):
+        m.note = "new attribute"
+
+
+def test_matrix_is_its_tuple_of_rows():
+    m = Matrix([[1, "1/2"], [3, 4]])
+    rows = ((Fraction(1), Fraction(1, 2)), (Fraction(3), Fraction(4)))
+    assert (m.rows, m.cols, m.is_square) == (2, 2, True)
+    assert tuple(m) == rows and m[1] == rows[1]
+    assert hash(m) == hash(rows)
+    assert repr(m) == "Matrix(2x2: 1 1/2; 3 4)"
+    assert repr(Matrix([[1, 2, 3]])) == "Matrix(1x3: 1 2 3)"
 
 
 def test_matrix_rejects_ragged_rows():

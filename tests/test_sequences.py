@@ -606,6 +606,15 @@ def test_pinned_combination_input_validation():
         verify_pinned_combination(a, 4, alphas[:2], zeros)
 
 
+def test_pinned_combination_refuses_zeros_outside_the_sequence():
+    a = gen_power_sequence(2, chain_exponents(2, 12, 2, 4))
+    alphas = solve_prescribed_zeros(a, [5], (1, 1))
+    assert verify_pinned_combination(a, 4, alphas, [5]).ok
+    for j in (40, 0, -3):
+        with pytest.raises(IndexError, match=f"position {j} out of range 1..12"):
+            verify_pinned_combination(a, 4, alphas, [j])
+
+
 def test_pinned_combination_alternating_signs():
     a, zeros, alphas, q = pinned_instance()
     signs = [(x > 0) - (x < 0) for x in alphas]
@@ -736,6 +745,24 @@ def test_oversized_entries_are_refused_before_any_power():
     with pytest.raises(ValueError, match="budget"):
         a.point(1)
     assert sequence_from_json(sequence_to_json(a))._exponents == a._exponents
+
+
+# Every rung the ROADMAP ladder, the CLI golden file and the tests construct.
+LADDER = [(1, 2), (1, 3), (1, 4), (1, 6), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3),
+          (3, 4), (4, 2), (4, 3), (5, 2), (6, 2)]
+
+
+def test_witness_budget_admits_the_ladder_and_refuses_past_it():
+    for d, r in LADDER:
+        built = gen_super_dominant(d, r)
+        assert built.witness.dim == d + 1 and built.points.length == tverberg_number(r, d)
+    assert gen_super_dominant(1, 2048).points.length == 4095  # 16,380 cells
+    for d, r, cells in ((25, 2, 18_252), (1, 2049, 16_388), (999, 2, 1_001_000_000)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"a \\({d},{r}\\) instance needs a witness table of {cells}"
+                                             " exponents, over the budget of 16384"):
+            gen_super_dominant(d, r)
+        assert time.perf_counter() - start < 0.1  # before default_threshold, 51 s at (999,2)
 
 
 def test_gen_super_dominant_three_three_certifies():
