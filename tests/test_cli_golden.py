@@ -33,6 +33,8 @@ COMMANDS = [
     "enumerate --seq uniform.json",
     "enumerate --seq line.json",
     "rainbow --d 2 --r 3",
+    "rainbow --d 3 --r 3",
+    "rainbow --d 2 --r 4",
     "verify-universality --d 2 --r 3",
     "verify-universality --seq uniform.json",
     "dominant --partition not_tverberg.json",
