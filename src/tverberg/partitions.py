@@ -111,22 +111,27 @@ def partition_from_json(payload: dict) -> Partition:
 def is_rainbow(partition: Partition, d: int) -> bool:
     """Each class meets each window of blocks(d, r) in exactly one position."""
     r = partition.r
-    return partition.n == tverberg_number(r, d) and _meets_each_once(partition.classes, blocks(d, r))
+    return partition.n == tverberg_number(r, d) and all(
+        b > _window_end(a, r) for cls in partition.classes for a, b in zip(cls, cls[1:])
+    )
 
 
-def _meets_each_once(classes, windows) -> bool:
-    """Each class holds exactly one position of each window."""
-    return all(sum(1 for i in cls if i in window) == 1 for cls in classes for window in windows)
+def _window_end(a: int, r: int) -> int:
+    """The last position sharing a window of blocks(d, r) with position a, for r >= 2."""
+    return (r - 1) * ((a - 1) // (r - 1) + 1) + 1
 
 
-def _restricted_growth(n: int, r: int, max_size: int):
+def _restricted_growth(n: int, r: int, max_size: int, *, _rainbow: bool = False):
     """The walk of enumerate_proper_partitions, yielding tuples of sorted class tuples.
 
     Element i joins each class with room, in order, while the n - i elements
     after it can still open every missing class, then opens one if any is
     missing.  Each step lowers the elements left and the free room (max_size
     per missing class) by one each, so under the root guard
-    r <= n <= r * max_size every branch ends in a partition.
+    r <= n <= r * max_size every branch ends in a partition.  With _rainbow
+    a class has room for i only past _window_end of its last member; at
+    n = tverberg_number(r, d) each window's r positions then fill its r
+    classes one each, so every branch ends in a rainbow partition.
     """
     classes: list = []
 
@@ -137,7 +142,7 @@ def _restricted_growth(n: int, r: int, max_size: int):
         missing = r - len(classes)
         if n - i >= missing:
             for cls in classes:
-                if len(cls) < max_size:
+                if len(cls) < max_size and (not _rainbow or i > _window_end(cls[-1], r)):
                     cls.append(i)
                     yield from place(i + 1)
                     cls.pop()
@@ -161,12 +166,7 @@ def enumerate_proper_partitions(n: int, r: int, max_size: int) -> list:
 def enumerate_rainbow(d: int, r: int) -> list:
     """All rainbow partitions for n = tverberg_number(r, d), in listing order."""
     n = tverberg_number(r, d)
-    windows = blocks(d, r)
-    return [
-        Partition(n, classes)
-        for classes in _restricted_growth(n, r, d + 1)
-        if _meets_each_once(classes, windows)
-    ]
+    return [Partition(n, classes) for classes in _restricted_growth(n, r, d + 1, _rainbow=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,43 @@ def test_rainbow_classes_hit_every_window():
                     assert len(set(cls) & set(window)) == 1
 
 
+def meets_each_window_once(partition, d):
+    """The rainbow definition read literally: window counts over blocks(d, r)."""
+    r = partition.r
+    return partition.n == tverberg_number(r, d) and all(
+        sum(1 for i in cls if i in window) == 1 for cls in partition.classes for window in blocks(d, r)
+    )
+
+
+def test_rainbow_listing_matches_window_count_filter():
+    # the walk prunes by the window rule; the oracle filters every proper partition
+    rungs = [(d, r) for d in range(1, 10) for r in range(2, 7) if tverberg_number(r, d) <= 11]
+    assert len(rungs) == 17
+    for d, r in rungs:
+        n = tverberg_number(r, d)
+        expected = [p for p in enumerate_proper_partitions(n, r, d + 1) if meets_each_window_once(p, d)]
+        assert enumerate_rainbow(d, r) == expected, (d, r)
+
+
+def test_is_rainbow_matches_window_count_filter():
+    # every set partition of 1..9 or fewer: every class count, r = 1 and improper ones
+    checked = 0
+    for n in range(1, 10):
+        for r in range(1, n + 1):
+            for p in enumerate_proper_partitions(n, r, n):
+                for d in range(1, 9):
+                    assert is_rainbow(p, d) == meets_each_window_once(p, d), (p, d)
+                checked += 1
+    assert checked == 26_442  # the Bell numbers B(1) + ... + B(9)
+
+
+@pytest.mark.parametrize(
+    "d, r", [(d, r) for r in (2, 3) for d in range(1, 8)] + [(16, 2), (25, 2)]
+)
+def test_rainbow_count_is_factorial_power(d, r):
+    assert len(enumerate_rainbow(d, r)) == factorial(r - 1) ** d
+
+
 def growth_string(classes, n):
     """a_i is the index of i's class, the classes ordered by smallest element."""
     index = {i: m for m, cls in enumerate(sorted(classes, key=min)) for i in cls}
