@@ -47,7 +47,8 @@ class PointSequence:
     entries are built from the table when rows, entry or point is first read.
     The table is not part of the value, and a sequence built from rows never
     has one: two tables on one base compare by exponents, any other pair by
-    entries, and hashing and repr build the entries.
+    entries.  Hashing builds the entries, and so does repr unless they
+    pass the entry budget, when it shows the base and the table instead.
     """
 
     def __init__(self, rows: Sequence[Sequence[ScalarLike]]):
@@ -87,7 +88,11 @@ class PointSequence:
         return hash((self.rows,))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
+        try:
+            fields = f"rows={self.rows!r}"
+        except _BudgetError:  # entries past _ENTRY_BIT_BUDGET: the table stands in for them
+            fields = "base={!r}, exponents={!r}".format(*self._exponents)
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def is_positive(self) -> bool:
@@ -230,8 +235,21 @@ def gen_power_sequence(base: ScalarLike, exponents: Sequence[Sequence[int]]) -> 
 
 
 def uniform_exponents(rows: int, length: int) -> list:
-    """The schedule e(t, i) = t * i."""
+    """The schedule e(t, i) = t * i, refused unbuilt past _WITNESS_CELL_BUDGET exponents."""
+    if rows * length > _WITNESS_CELL_BUDGET:
+        raise _BudgetError(
+            f"a uniform table of {rows} x {length} exponents passes the budget of"
+            f" {_WITNESS_CELL_BUDGET} for constructed instances"
+        )
     return [[t * i for i in range(1, length + 1)] for t in range(1, rows + 1)]
+
+
+# The most bits of precision _ceil_log may carry.  A pass makes about four
+# products of that size per bit of c, and c has about half as many bits:
+# 0.4 s at the 6,716 bits a base of 1 + 10**-1001 starts with, 0.7 s at
+# 1 + 10**-1223, the closest such base admitted, while 1 + 10**-2001 would
+# start at 13,360 bits (3.4 s a pass) and is refused.
+_LOG_PRECISION_BUDGET = 1 << 13
 
 
 def _ceil_log(base: Fraction, value: Fraction) -> int:
@@ -239,35 +257,58 @@ def _ceil_log(base: Fraction, value: Fraction) -> int:
 
     The powers base**(2**k) are squared until they surely reach value; c - 1,
     the largest e with base**e < value, is then built from its top bit down.
-    Each power base**e is carried as integers lo <= base**e * 2**bits <= hi,
-    rounded outward, so no number grows with c.  A power whose bounds
-    straddle value is below it unless it equals it, which _is_power settles
-    exactly; else the search starts over at twice the precision, and the
-    bounds tighten with it until they decide.
+    Each power base**e, and value, is carried as lo * 2**x <= . <= hi * 2**x
+    with integers lo <= hi of about `bits` bits, rounded outward, so no
+    product grows with c or value.  A power whose bounds straddle value's is
+    below it unless it equals it, which _is_power settles exactly; else the
+    search starts over at twice the precision, and the bounds tighten with
+    it until they decide, or pass _LOG_PRECISION_BUDGET and raise
+    _BudgetError.  The first precision is 64 bits beyond twice the bit length
+    of N/(N - D) >= 1/ln(base), for base = N/D: one length tells neighbouring
+    powers apart, and the other absorbs the rounding of base itself, raised
+    to a power near c <= ln(value) * N/(N - D).
     """
     if value <= 1:
         return 0
-    bits = 64 + base.numerator.bit_length() + base.denominator.bit_length()
+    num, den = base.numerator, base.denominator
+    bits = 64 + 2 * (num.bit_length() - (num - den).bit_length() + 1)
+
+    def bounds(top: int, bottom: int) -> tuple:
+        shift = top.bit_length() - bottom.bit_length() - bits
+        top, bottom = top << max(-shift, 0), bottom << max(shift, 0)
+        return top // bottom, -(-top // bottom), shift
 
     def times(x: tuple, y: tuple) -> tuple:
-        return x[0] * y[0] >> bits, -(-x[1] * y[1] >> bits)
+        lo, hi, shift = x[0] * y[0], x[1] * y[1], x[2] + y[2]
+        cut = max(hi.bit_length() - bits, 0)
+        return lo >> cut, -(-hi >> cut), shift + cut
 
-    while True:
-        scale = 1 << bits
-        target = value * scale
-        powers = [(base.numerator * scale // base.denominator, -(-base.numerator * scale // base.denominator))]
-        while powers[-1][0] < target:
+    def less(m: int, shift: int, n: int, n_shift: int) -> bool:
+        """m * 2**shift < n * 2**n_shift for m, n > 0; shifted only when bit lengths tie."""
+        gap = m.bit_length() + shift - n.bit_length() - n_shift
+        if gap:
+            return gap < 0
+        return m << max(shift - n_shift, 0) < n << max(n_shift - shift, 0)
+
+    while bits <= _LOG_PRECISION_BUDGET:
+        v_lo, v_hi, v_shift = bounds(value.numerator, value.denominator)
+        powers = [bounds(num, den)]
+        while less(powers[-1][0], powers[-1][2], v_hi, v_shift):
             powers.append(times(powers[-1], powers[-1]))
-        below, power = 0, (scale, scale)
+        below, power = 0, (1, 1, 0)
         for k in reversed(range(len(powers))):
-            step = times(power, powers[k])
-            if step[1] < target:
+            lo, hi, shift = step = times(power, powers[k])
+            if less(hi, shift, v_lo, v_shift):
                 below, power = below + (1 << k), step
-            elif step[0] < target and not _is_power(base, below + (1 << k), value):
+            elif less(lo, shift, v_hi, v_shift) and not _is_power(base, below + (1 << k), value):
                 break
         else:
             return below + 1
         bits *= 2
+    raise _BudgetError(
+        f"the threshold's logarithm to this base needs {bits} bits of precision, over the"
+        f" {_LOG_PRECISION_BUDGET}-bit budget for logarithms; a base closer to 1 needs more"
+    )
 
 
 def _is_power(base: Fraction, e: int, value: Fraction) -> bool:
@@ -331,15 +372,18 @@ def ordered_lift(points: PointSequence, q: ScalarLike):
     Returns (ordered, row_coords) where ordered is the lifted sequence with
     rows rearranged slowest-first and row_coords[k] is the 0-based lifted
     coordinate sitting at ordered position k.  A row's growth is its last
-    entry over its first, compared by cross products (no division) on the
-    route q picks (_growth_scale); ties keep row order.  If some row order
+    entry over its first, compared by cross products (no division), on
+    exponent sums where _growth_scale would take them (a table and q > 0)
+    but without its threshold exponent, else on entries; ties keep row
+    order.  If some row order
     makes the lift ordered at q >= 1, each later row outgrows each earlier
     one over the whole sequence, so the sort finds that order; the order is
     checked by dominance_profile, not here.  At q < 1 several orders can
     pass, and the sort may pick another than a pairwise tournament would.
     """
     lifted = lift(points)
-    grid, _, times, _ = _growth_scale(lifted, scalar(q))
+    tabled = lifted._exponents is not None and scalar(q) > 0
+    grid, times = (lifted._exponents[1], operator.add) if tabled else (lifted.rows, operator.mul)
 
     def faster(t: int, s: int) -> int:
         x, y = times(grid[t][-1], grid[s][0]), times(grid[s][-1], grid[t][0])
@@ -356,9 +400,10 @@ class SuperDominantSequence(NamedTuple):
     q: Fraction
 
 
-# The most exponents a constructed witness table may hold, (d+1)**2 * n of
-# them: the (6,2) rung's holds 392, the (24,2) rung's 16,250 (built in about
-# 10 s), and the (25,2) rung's 18,252 is refused, as is (999,2)'s 10**9.
+# The most exponents a constructed table may hold.  A chain witness holds
+# (d+1)**2 * n of them: the (6,2) rung's 392, the (24,2) rung's 16,250
+# (built in about 10 s), and the (25,2) rung's 18,252 is refused, as is
+# (999,2)'s 10**9.  A uniform table holds d * n: (127,2) is the last admitted.
 _WITNESS_CELL_BUDGET = 1 << 14
 
 

@@ -174,6 +174,34 @@ def test_gen_with_a_base_just_above_one_finishes(capsys):
     assert payload["base"] == "1000001/1000000" and payload["exponents"] == [[2197228, 4394456, 6591684]]
 
 
+def test_slow_logarithm_and_oversized_uniform_table_exit_two_at_once(capsys, tmp_path):
+    near_one = "1." + "0" * 2000 + "1"
+    compact = write_json(tmp_path / "near_one.json",
+                         {"d": 2, "n": 4, "base": near_one, "exponents": [[1, 2, 3, 4], [2, 4, 6, 8]]})
+    precision = ("error: the threshold's logarithm to this base needs 13360 bits of precision, over the"
+                 " 8192-bit budget for logarithms; a base closer to 1 needs more")
+    uniform = "error: a uniform table of 5000 x 5002 exponents passes the budget of 16384 for constructed instances"
+    for argv, message in ((["gen", "--d", "2", "--r", "2", "--base", near_one], precision),
+                          (["verify-universality", "--seq", compact], precision),
+                          (["gen", "--schedule", "uniform", "--d", "5000", "--r", "2"], uniform)):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [message]
+
+
+def test_gen_with_the_largest_decimal_threshold_finishes(capsys):
+    # reading q takes about 0.4 s; the threshold exponent's search does not grow with q
+    start = time.perf_counter()
+    assert main(["gen", "--d", "2", "--r", "3", "--base", "1." + "0" * 76 + "1", "--q", "1e1000000"]) == 0
+    assert time.perf_counter() - start < 2
+    c = 230258509299404568401799145468436420760110148862877297603332790096757260967736399317
+    exponents = json.loads(capsys.readouterr().out)["exponents"]
+    assert exponents[0][0] == (c + 1) * 3  # the chain multiplier c + 1, at the witness's third position
+
+
 def test_gen_uniform_schedule(capsys):
     assert main(["gen", "--d", "2", "--r", "2", "--schedule", "uniform", "--base", "3"]) == 0
     points = sequence_from_json(json.loads(capsys.readouterr().out))

@@ -1,4 +1,5 @@
 """Growth ratios, pair classification, dominance profiles, generators."""
+import decimal
 import itertools
 import pickle
 import random
@@ -6,7 +7,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from math import prod
+from math import ceil, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -674,6 +675,16 @@ def test_tabled_sequences_compare_without_building_entries():
     assert a._rows is None
 
 
+def test_repr_shows_the_table_when_entries_pass_the_budget():
+    built = gen_super_dominant(5, 2)  # its entries have about 1.6 * 10**9 bits
+    base, table = built.points._exponents
+    assert repr(built.points) == f"PointSequence(base={base!r}, exponents={table!r})"
+    assert repr(built.points) in repr(built)
+    assert built.points._rows is None
+    buildable = gen_power_sequence(2, chain_exponents(3, 6, 2, 3))
+    assert repr(buildable) == f"PointSequence(rows={buildable.rows!r})" == repr(PointSequence(buildable.rows))
+
+
 def test_sequences_built_from_rows_carry_no_table():
     assert PointSequence([[1, 2, 4], [1, 8, 64]])._exponents is None
     assert gen_moment_curve(2, [1, 2, 3])._exponents is None
@@ -813,6 +824,37 @@ def test_ceil_log_of_a_base_just_above_one_takes_few_steps():
     base = Fraction(1000001, 1000000)
     assert sequences._ceil_log(base, Fraction(721)) == 6580643  # ceil(ln 721 / ln base)
     assert sequences._beat_exponent(base, Fraction(1, 2)) == -693147  # 1 - ceil(ln 2 / ln base)
+
+
+def test_ceil_log_cost_does_not_grow_with_the_value():
+    # 10**1000000 is the largest q the decimal budget admits; the search's
+    # numbers keep about 600 bits at this 256-bit base
+    base, q = 1 + Fraction(1, 10**77), Fraction(10) ** 1_000_000
+    c = 230258509299404568401799145468436420760110148862877297603332790096757260967736399317
+    start = time.perf_counter()
+    assert sequences._ceil_log(base, q) == sequences._ceil_log(base, q + 1) == c
+    assert time.perf_counter() - start < 0.5
+
+
+def test_ceil_log_precision_budget_admits_and_refuses():
+    # 1 + 10**-1001 starts at 6,716 bits, within the budget; checked against decimal's ln
+    with decimal.localcontext(prec=1100) as context:
+        ratio = context.ln(decimal.Decimal(3)) / context.ln(1 + decimal.Decimal(10) ** -1001)
+    assert sequences._ceil_log(1 + Fraction(1, 10**1001), Fraction(3)) == ceil(ratio)
+    # 1 + 10**-2001 would start at 13,360 bits, 3.4 s a pass
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="needs 13360 bits of precision, over the 8192-bit budget for logarithms"):
+        sequences._ceil_log(1 + Fraction(1, 10**2001), Fraction(3))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_certifying_computes_the_threshold_exponent_once(monkeypatch):
+    built = gen_super_dominant(2, 3)
+    calls = []
+    beat = sequences._beat_exponent
+    monkeypatch.setattr(sequences, "_beat_exponent", lambda base, q: calls.append(q) or beat(base, q))
+    sequences._certified_profile(built.points, built.q)
+    assert calls == [built.q]  # dominance_profile's; ordered_lift compares growth without it
 
 
 DIFFERENTIAL_QS = [Fraction(x) for x in ("1/4", "1/2", "1", "3/2", "2", "9/4", "3", "4", "5", "8", "9", "0")]
