@@ -130,8 +130,8 @@ def _restricted_growth(n: int, r: int, max_size: int, *, _rainbow: bool = False)
     per missing class) by one each, so under the root guard
     r <= n <= r * max_size every branch ends in a partition.  With _rainbow
     a class has room for i only past _window_end of its last member; at
-    n = tverberg_number(r, d) each window's r positions then fill its r
-    classes one each, so every branch ends in a rainbow partition.
+    n = tverberg_number(r, d) the positions left in each window then equal
+    the classes it still misses, so every branch ends in a rainbow partition.
     """
     classes: list = []
 

@@ -91,7 +91,8 @@ class PointSequence:
         try:
             fields = f"rows={self.rows!r}"
         except _BudgetError:  # entries past _ENTRY_BIT_BUDGET: the table stands in for them
-            fields = "base={!r}, exponents={!r}".format(*self._exponents)
+            base, table = self._exponents
+            fields = f"base={base!r}, exponents={table!r}"
         return f"{self.__class__.__qualname__}({fields})"
 
     @property
